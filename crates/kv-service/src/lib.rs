@@ -18,10 +18,12 @@
 //!   there is no unbounded queue anywhere, so the service runs on a fixed
 //!   thread pool (one worker per shard) instead of thread-per-client.
 //! * **Batched workers** — each shard's worker drains up to
-//!   [`KvConfig::batch`] commands per wakeup. Map-level guard state is
-//!   acquired once per worker (the handle lives for the shard's lifetime)
-//!   and per-batch bookkeeping — stats, garbage sampling, the doorbell
-//!   round-trip — amortizes across the batch.
+//!   [`KvConfig::batch`] commands per wakeup, and an emptied ring keeps it
+//!   awake for a short yielding idle phase before it parks, so pipelined
+//!   windows rarely pay the doorbell round-trip at all. Map-level guard
+//!   state is acquired once per worker (the handle lives for the shard's
+//!   lifetime) and per-batch bookkeeping — stats, garbage sampling —
+//!   amortizes across the batch.
 //! * **Stores** — [`store::ShardStore`] plugs schemes through the existing
 //!   `GuardedScheme`/`ConcurrentMap` plumbing: HP++ by default
 //!   ([`store::HppStore`]), per-shard EBR ([`store::EbrStore`]),
@@ -59,6 +61,7 @@ pub use supervisor::QuarantineRecord;
 pub const FAULT_POINTS: &[&str] = &[
     "kv::ring::full",
     "kv::worker::batch",
+    "kv::worker::reply",
     "kv::quarantine::leak",
     "kv::supervisor::respawn",
 ];
@@ -142,7 +145,9 @@ pub struct KvConfig {
     pub supervise: bool,
     /// Per-operation client deadline: the worst case one `get`/`insert`/
     /// `remove` call may block across pushes, waits and retries before
-    /// resolving to [`KvError::DeadlineExceeded`]. Default 5 s,
+    /// resolving to [`KvError::DeadlineExceeded`]. The clock starts at the
+    /// op's first wait (a full ring, a pending reply or a dead shard), so
+    /// an op that never waits never reads it. Default 5 s,
     /// `KV_OP_TIMEOUT_MS`.
     pub op_timeout: std::time::Duration,
     /// Bounded retry budget for one-shot client calls that hit

@@ -9,12 +9,12 @@
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use smr_common::policy::Verdict;
 use smr_common::Backoff;
 
-use crate::ring::{Command, PushError, ResponseSlot, WaitError};
+use crate::ring::{Command, Deadline, PushError, ResponseSlot, WaitError};
 use crate::shard::{run_worker, Shard, ShardStatsSnapshot};
 use crate::store::{HppStore, ShardStore};
 use crate::supervisor::{
@@ -246,7 +246,7 @@ impl<S: ShardStore> KvService<S> {
             .push_deadline(
                 Command::Crash { key: 0 },
                 resp,
-                Some(Instant::now() + Duration::from_secs(5)),
+                &mut Deadline::new(Duration::from_secs(5)),
             )
             .is_ok()
     }
@@ -377,7 +377,7 @@ impl<S: ShardStore> Client<S> {
     /// Waits (jittered backoff) for shard `idx` to come back up after a
     /// death: either a respawned incarnation accepts commands, the service
     /// closes, or the deadline passes. Returns whether retrying is useful.
-    fn await_respawn(&mut self, idx: usize, deadline: Instant) -> bool {
+    fn await_respawn(&mut self, idx: usize, deadline: &mut Deadline) -> bool {
         let mut backoff = Backoff::new();
         loop {
             if self.slots[idx].is_closed() {
@@ -387,7 +387,7 @@ impl<S: ShardStore> Client<S> {
             if !self.cached[idx].1.ring.is_closed() {
                 return true;
             }
-            if Instant::now() >= deadline {
+            if deadline.expired() {
                 return false;
             }
             backoff.snooze();
@@ -397,15 +397,16 @@ impl<S: ShardStore> Client<S> {
     /// Enqueues `cmd` without waiting. Blocks (backoff, bounded by the
     /// per-op deadline) while the target ring is full; rides out shard
     /// respawns within the retry budget. The reply is collected by
-    /// [`drain`](Self::drain), in submission order.
+    /// [`drain`](Self::drain), in submission order. The op-timeout budget
+    /// starts at the first wait (full ring or dead shard), not at entry.
     pub fn submit(&mut self, cmd: Command) -> Result<(), KvError> {
         let idx = self.shard_of(cmd.key());
-        let deadline = Instant::now() + self.op_timeout;
+        let mut deadline = Deadline::new(self.op_timeout);
         let slot = self.take_slot();
         let mut attempts = 0u32;
         loop {
             let shard = self.current(idx);
-            match shard.ring.push_deadline(cmd, Arc::clone(&slot), Some(deadline)) {
+            match shard.ring.push_deadline(cmd, Arc::clone(&slot), &mut deadline) {
                 Ok(()) => {
                     self.pending.push((idx, shard, slot));
                     return Ok(());
@@ -423,7 +424,7 @@ impl<S: ShardStore> Client<S> {
                         return Err(err);
                     }
                     attempts += 1;
-                    if !self.await_respawn(idx, deadline) {
+                    if !self.await_respawn(idx, &mut deadline) {
                         self.free.push(slot);
                         return Err(if self.slots[idx].is_closed() {
                             KvError::Stopped
@@ -438,14 +439,15 @@ impl<S: ShardStore> Client<S> {
 
     /// Waits for every in-flight command, invoking `sink(index, reply)` in
     /// submission order (`index` counts from 0 within this drain). Each
-    /// reply waits at most one op-timeout; a timed-out command reports
+    /// reply waits at most one op-timeout, counted from the first poll that
+    /// finds it pending; a timed-out command reports
     /// [`KvError::DeadlineExceeded`] and its slot is abandoned (the worker
     /// may still complete it later). Pipelined errors are *not* retried.
     pub fn drain(&mut self, mut sink: impl FnMut(usize, Result<Option<u64>, KvError>)) {
         let pending = std::mem::take(&mut self.pending);
         for (i, (idx, shard, slot)) in pending.into_iter().enumerate() {
-            let deadline = Instant::now() + self.op_timeout;
-            match shard.ring.wait_response_deadline(&slot, Some(deadline)) {
+            let mut deadline = Deadline::new(self.op_timeout);
+            match shard.ring.wait_response_deadline(&slot, &mut deadline) {
                 Ok(reply) => {
                     sink(i, Ok(reply));
                     self.free.push(slot);
@@ -463,15 +465,17 @@ impl<S: ShardStore> Client<S> {
         }
     }
 
+    /// One-shot submit-and-wait. One deadline covers the whole op — push,
+    /// reply wait and every retry — and starts at its first wait.
     fn call(&mut self, cmd: Command) -> Result<Option<u64>, KvError> {
         let idx = self.shard_of(cmd.key());
-        let deadline = Instant::now() + self.op_timeout;
+        let mut deadline = Deadline::new(self.op_timeout);
         let mut attempts = 0u32;
         loop {
             let shard = self.current(idx);
             let slot = self.take_slot();
-            match shard.ring.push_deadline(cmd, Arc::clone(&slot), Some(deadline)) {
-                Ok(()) => match shard.ring.wait_response_deadline(&slot, Some(deadline)) {
+            match shard.ring.push_deadline(cmd, Arc::clone(&slot), &mut deadline) {
+                Ok(()) => match shard.ring.wait_response_deadline(&slot, &mut deadline) {
                     Ok(reply) => {
                         self.free.push(slot);
                         return Ok(reply);
@@ -496,7 +500,7 @@ impl<S: ShardStore> Client<S> {
                 return Err(err);
             }
             attempts += 1;
-            if !self.await_respawn(idx, deadline) {
+            if !self.await_respawn(idx, &mut deadline) {
                 return Err(if self.slots[idx].is_closed() {
                     KvError::Stopped
                 } else {

@@ -1,10 +1,16 @@
 //! One shard: a command ring, a store with its private domain, and the
 //! worker loop that drains the ring in batches.
 //!
-//! Batching is the perf lever: the worker touches the doorbell, the stats
-//! block, and the garbage sample **once per batch**, not once per command,
-//! and its scheme handle (hazard slots, local bags) is registered once for
-//! the shard's lifetime. Commands execute back-to-back on a warm cache.
+//! Two perf levers. The first is staying awake: an empty ring sends the
+//! worker through a short idle phase before it parks (see `ring`'s
+//! sleep/wake docs), so a pipelining client's windows reach a running
+//! worker and never pay the doorbell's mutex + futex wake. An awake worker
+//! takes entries as they land, so its batches are short — a few ops, not
+//! a full window. The second is batching what remains per wake-up: the
+//! stats block and the garbage sample are touched **once per batch**, not
+//! once per command, and the scheme handle (hazard slots, local bags) is
+//! registered once for the shard's lifetime. Commands execute
+//! back-to-back on a warm cache.
 //!
 //! Crash story: `WorkerGuard` retires the ring on *any* exit — normal
 //! shutdown or unwind — so queued commands fail fast instead of hanging
@@ -21,7 +27,7 @@ use std::time::Duration;
 use smr_common::policy::Verdict;
 use smr_common::watchdog::GarbageWatchdog;
 
-use crate::ring::{Command, Entry, Ring};
+use crate::ring::{Command, Entry, ResponseSlot, Ring};
 use crate::store::ShardStore;
 use crate::supervisor::SupervisorCtl;
 
@@ -107,16 +113,30 @@ impl<S: ShardStore> Shard<S> {
 }
 
 /// Fails the in-flight command if the store op below panics.
-struct ReplyGuard(Arc<crate::ring::ResponseSlot>);
+struct ReplyGuard<'a>(&'a ResponseSlot);
 
-impl Drop for ReplyGuard {
+impl ReplyGuard<'_> {
+    /// Disarms the guard, then publishes `result`. The order is the point:
+    /// once the result is out, the client may drain, pool and `reset` the
+    /// slot for its next command, so a guard still armed afterwards would
+    /// read that command as pending and fail it. A panic before this call
+    /// still fails the command.
+    fn complete(self, result: Option<u64>) {
+        let slot = self.0;
+        std::mem::forget(self);
+        slot.complete(result);
+        smr_common::fault_point!("kv::worker::reply");
+    }
+}
+
+impl Drop for ReplyGuard<'_> {
     fn drop(&mut self) {
         self.0.drop_if_pending();
     }
 }
 
 fn execute<S: ShardStore>(store: &S, handle: &mut S::Handle, (cmd, resp): Entry) {
-    let reply = ReplyGuard(resp);
+    let reply = ReplyGuard(&resp);
     let result = match cmd {
         Command::Get { key } => store.get(handle, key),
         Command::Put { key, value } => {
@@ -129,7 +149,7 @@ fn execute<S: ShardStore>(store: &S, handle: &mut S::Handle, (cmd, resp): Entry)
         Command::Del { key } => store.remove(handle, key),
         Command::Crash { .. } => panic!("kv worker: injected crash command"),
     };
-    reply.0.complete(result);
+    reply.complete(result);
 }
 
 /// The shard worker: park-drain-execute until the ring closes, then flush
@@ -205,4 +225,44 @@ pub(crate) fn run_worker<S: ShardStore>(
     // handle's teardown donate the rest (protected stragglers) as orphans.
     shard.store.quiesce(&mut handle);
     shard.stats.record_batch(0, S::garbage(&handle));
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::Instant;
+
+    use super::*;
+    use crate::store::NrStore;
+
+    #[test]
+    fn parked_worker_serves_a_push_well_inside_the_backstop() {
+        let store = NrStore::new_shard(16, smr_common::policy::PolicyKind::Capped);
+        let shard = Arc::new(Shard::new(store, 16));
+        let worker = {
+            let shard = Arc::clone(&shard);
+            std::thread::spawn(move || run_worker(shard, 8, None))
+        };
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while !shard.ring.is_sleeping() {
+            assert!(Instant::now() < deadline, "idle worker never parked");
+            std::thread::yield_now();
+        }
+        // Let it settle into the condvar wait (the backstop is 50 ms).
+        std::thread::sleep(Duration::from_millis(5));
+        let resp = Arc::new(ResponseSlot::new());
+        let pushed_at = Instant::now();
+        shard
+            .ring
+            .push(Command::Put { key: 1, value: 10 }, Arc::clone(&resp))
+            .unwrap();
+        assert_eq!(shard.ring.wait_response(&resp), Ok(Some(10)));
+        let latency = pushed_at.elapsed();
+        assert!(
+            latency < Duration::from_millis(10),
+            "parked worker took {latency:?} to serve a push"
+        );
+        shard.ring.close();
+        worker.join().unwrap();
+        assert_eq!(shard.stats.snapshot().ops, 1);
+    }
 }

@@ -284,12 +284,14 @@ fn stalled_worker_turns_into_deadline_errors_then_recovers() {
     // complete). The queued third op must fail with `DeadlineExceeded` —
     // not hang — and once the stall releases, the shard serves again on
     // its *original* generation: a slow worker is not a dead worker, so
-    // supervision must not have respawned anything.
+    // supervision must not have respawned anything. Batches of one: with a
+    // larger batch, a worker still awake after publishing op 2's reply can
+    // pop op 3 into the same batch and serve it before the stall point.
     let _plan = fault::plan().at("kv::worker::batch", 2, FaultAction::Stall).install();
     let svc = KvService::<HppStore>::start(
         KvConfig {
             shards: 1,
-            batch: 4,
+            batch: 1,
             ring_depth: 16,
             buckets: 16,
             ..KvConfig::new()

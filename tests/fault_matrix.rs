@@ -10,15 +10,25 @@
 //! [`GarbageWatchdog`]) for EBR, and zero leaked nodes once faults clear.
 //!
 //! Requires `--features fault-injection`. Plans serialize on a process
-//! lock, so these tests are safe under the default parallel test runner.
+//! lock, but several tests keep crossing fault points after they drop
+//! their plan (post-release drains flush through the same windows). Under
+//! the default parallel runner such a straggler could take the next
+//! test's one-shot trigger — stalling the wrong thread — so every test
+//! also holds [`serial`] from its first line to its last.
 #![cfg(feature = "fault-injection")]
 
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use smr_common::fault::{self, FaultAction};
 use smr_common::watchdog::{GarbageWatchdog, WatchdogStatus};
 use smr_common::ConcurrentMap;
+
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Spin until `cond` holds, failing the test after a generous deadline so a
 /// broken handshake cannot hang CI (the stall itself times out at 30 s).
@@ -32,6 +42,7 @@ fn wait_for(what: &str, mut cond: impl FnMut() -> bool) {
 
 #[test]
 fn schedule_is_deterministic_for_same_seed() {
+    let _serial = serial();
     // Same seed + same single-threaded operation sequence must replay the
     // exact same injection log (the acceptance criterion for
     // `SMR_FAULT_SEED` reproducibility). Both runs execute on this thread,
@@ -67,6 +78,7 @@ fn schedule_is_deterministic_for_same_seed() {
 
 #[test]
 fn hp_stalled_reader_keeps_garbage_bounded() {
+    let _serial = serial();
     // A reader stalled forever in the announce-to-validate window holds a
     // published hazard. HP's contract: the writer keeps reclaiming around
     // it — at most the announced node survives, the retired bag never
@@ -136,6 +148,7 @@ fn hp_stalled_reader_keeps_garbage_bounded() {
 
 #[test]
 fn ebr_stalled_pin_wedges_epoch_and_watchdog_reports_growth() {
+    let _serial = serial();
     // The EBR failure mode: a thread stalled inside pin (epoch announced,
     // not yet validated) blocks every advance past epoch+1. Garbage grows
     // without bound and the GarbageWatchdog must say so; releasing the
@@ -213,6 +226,7 @@ fn ebr_stalled_pin_wedges_epoch_and_watchdog_reports_growth() {
 
 #[test]
 fn pebr_ejects_straggler_despite_scheduling_noise() {
+    let _serial = serial();
     // PEBR's robustness mechanism under injected scheduling chaos: yield
     // storms on every other pin and on the ejection mark itself must not
     // stop the reclaimer from ejecting a straggler, and the straggler's
@@ -249,6 +263,7 @@ fn pebr_ejects_straggler_despite_scheduling_noise() {
 
 #[test]
 fn hpp_mid_invalidation_preemption_leaks_nothing() {
+    let _serial = serial();
     // Preempt HP++ threads inside `do_invalidation` — after a batch's nodes
     // are invalidated but before its frontier protections are parked — and
     // on the unlink frontier window, while two threads churn one list.
@@ -304,6 +319,7 @@ fn hpp_mid_invalidation_preemption_leaks_nothing() {
 
 #[test]
 fn hp_panicking_teardown_still_donates() {
+    let _serial = serial();
     // A thread that dies *inside its own teardown* (injected panic at the
     // start of the final reclaim) must still donate every retired node —
     // the satellite-1 Drop guard in `hp::Thread::drop`.
@@ -340,6 +356,7 @@ fn hp_panicking_teardown_still_donates() {
 
 #[test]
 fn ebr_dead_thread_orphan_storm_reclaims_exactly() {
+    let _serial = serial();
     // The dead-thread acceptance criterion: 8 threads die without flushing
     // (donating via handle teardown) under seeded scheduling noise; the
     // survivor must reclaim *exactly* every node — zero leaks, asserted by
@@ -392,6 +409,7 @@ fn ebr_dead_thread_orphan_storm_reclaims_exactly() {
 
 #[test]
 fn hp_retire_storm_under_stalled_collector_stays_bounded() {
+    let _serial = serial();
     // One thread stalls *inside reclaim* (mid-scan, its bag swapped out).
     // Other threads' retire storms must keep reclaiming independently —
     // per-thread bags are private, so a stalled collector bounds only its
@@ -465,6 +483,7 @@ fn hp_retire_storm_under_stalled_collector_stays_bounded() {
 
 #[test]
 fn ebr_retire_storm_under_stalled_collector_grows_then_drains() {
+    let _serial = serial();
     // The EBR counterpart: the victim stalls inside `try_advance` — after
     // verifying all participants but *before publishing* the new epoch —
     // while still pinned. The epoch wedges one step later, a concurrent
@@ -542,6 +561,7 @@ fn ebr_retire_storm_under_stalled_collector_grows_then_drains() {
 
 #[test]
 fn backoff_parked_thread_keeps_garbage_bounded_and_drains() {
+    let _serial = serial();
     // Contention-machinery adversary: a thread escalates its CAS backoff all
     // the way to the park phase *while still holding its hazard pointer*
     // (exactly the state of a retry loop between failed attempts), and the
@@ -626,6 +646,7 @@ fn backoff_parked_thread_keeps_garbage_bounded_and_drains() {
 
 #[test]
 fn hyaline_stalled_enter_is_ejected_and_garbage_stays_bounded() {
+    let _serial = serial();
     // Hyaline's answer to the stall EBR cannot survive: a thread stalled in
     // the announce-to-validate window (era + PENDING published, critical
     // section not yet validated) holds no references, so the next handover
@@ -700,6 +721,7 @@ fn hyaline_stalled_enter_is_ejected_and_garbage_stays_bounded() {
 
 #[test]
 fn hyaline_stalled_leaver_pins_one_batch_and_drains_exactly() {
+    let _serial = serial();
     // The handover-decrement window: a leaver that detached its retirement
     // list (critical section already over — its slot word is 0) but stalled
     // before releasing the references. Contract: exactly the batches on the
@@ -788,6 +810,7 @@ fn hyaline_stalled_leaver_pins_one_batch_and_drains_exactly() {
 
 #[test]
 fn hyaline_preempted_retire_and_handover_windows_leak_nothing() {
+    let _serial = serial();
     // Preempt hyaline threads at the retire-link, the post-fence handover
     // traverse, and the final refs adjustment — the three windows where a
     // batch is visible to leavers but its count is not yet settled — while
@@ -850,6 +873,7 @@ fn hyaline_preempted_retire_and_handover_windows_leak_nothing() {
 
 #[test]
 fn hyaline_panicking_teardown_still_donates() {
+    let _serial = serial();
     // A thread that dies *inside its own teardown* (injected panic before
     // the donation) must still unregister its slot and donate every
     // unhanded payload — the Drop guard in `LocalHandle::drop` runs during
@@ -895,6 +919,7 @@ fn hyaline_panicking_teardown_still_donates() {
 
 #[test]
 fn all_fault_points_are_reachable() {
+    let _serial = serial();
     // Coverage: every point a crate declares in its FAULT_POINTS const is
     // actually crossed by a small targeted scenario — a renamed or orphaned
     // injection point fails here instead of silently rotting.
@@ -993,8 +1018,8 @@ fn all_fault_points_are_reachable() {
         }
     }
     // kv-service: a sleepy store behind a 2-slot ring crosses the ring-full
-    // window, any drained op crosses the batch point, and an injected crash
-    // walks the supervisor through quarantine + respawn.
+    // window, any drained op crosses the reply and batch points, and an
+    // injected crash walks the supervisor through quarantine + respawn.
     {
         use kv_service::{Command, KvConfig, KvService, ShardStore};
 

@@ -28,11 +28,17 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
 }
 
 fn churn_n<M: ConcurrentMap<u64, u64>>(m: &M, h: &mut M::Handle, rounds: u64) {
+    churn_keys(m, h, rounds, 0);
+}
+
+/// `rounds` × (insert then remove keys `base..base + 16`). On keys no other
+/// thread touches every op succeeds, so each round retires exactly 16.
+fn churn_keys<M: ConcurrentMap<u64, u64>>(m: &M, h: &mut M::Handle, rounds: u64, base: u64) {
     for r in 0..rounds {
-        for k in 0..16 {
+        for k in base..base + 16 {
             m.insert(h, k, r);
         }
-        for k in 0..16 {
+        for k in base..base + 16 {
             m.remove(h, &k);
         }
     }
@@ -164,13 +170,16 @@ fn ebr_stalled_pin_grows_unboundedly_pebr_does_not() {
             while !pinned.load(Relaxed) {
                 std::thread::yield_now();
             }
-            // Churners: a fixed amount of retiring work.
+            // Churners: a fixed amount of retiring work. Disjoint key
+            // ranges, so no insert or remove fails against a sibling's and
+            // the retire count is exactly CHURNERS·ROUNDS·16 on any number
+            // of cores.
             std::thread::scope(|s2| {
-                for _ in 0..CHURNERS {
+                for c in 0..CHURNERS {
                     let m = &m;
                     s2.spawn(move || {
                         let mut h = ConcurrentMap::handle(m);
-                        churn_n(m, &mut h, ROUNDS);
+                        churn_keys(m, &mut h, ROUNDS, 16 * c);
                     });
                 }
             });
