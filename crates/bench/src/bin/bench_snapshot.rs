@@ -259,27 +259,6 @@ fn recovery_headline(snap: &mut Snapshot) {
     snap.record("mops.kv.recovery", r.recovery_mops);
 }
 
-fn policy_headline(snap: &mut Snapshot) {
-    // Policy × single-shard KV: in-process per-policy runs are sound here
-    // because `KvRun::policy` reaches each shard's domain as an explicit
-    // constructor parameter — no dependence on the process-wide
-    // `SMR_POLICY` latch (scheme-level policy sweeps need subprocesses;
-    // see fig12). `garbage.*` metrics are informational (never gated), so
-    // recording adaptive's batching headroom here can't flake the gate.
-    for policy in smr_common::policy::PolicyKind::ALL {
-        let mut rc = KvRun::read_mostly(1).quick().with_policy(policy);
-        rc.clients = 1;
-        rc.warmup = Duration::from_millis(50);
-        rc.duration = Duration::from_millis(300);
-        let r = kv_best_of_5(&rc);
-        snap.record(&format!("mops.policy.{policy}.kv.hpp.s1"), r.total_mops);
-        snap.record(
-            &format!("garbage.policy.{policy}.kv.hpp.s1"),
-            r.peak_shard_garbage as f64,
-        );
-    }
-}
-
 fn measure() -> Snapshot {
     let mut snap = Snapshot::new();
     eprintln!("bench_snapshot: micro protect…");
@@ -294,8 +273,6 @@ fn measure() -> Snapshot {
     kv_headline(&mut snap);
     eprintln!("bench_snapshot: kv recovery headline…");
     recovery_headline(&mut snap);
-    eprintln!("bench_snapshot: policy headline…");
-    policy_headline(&mut snap);
     snap.record_host_meta();
     snap
 }

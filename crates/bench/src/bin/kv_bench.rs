@@ -15,14 +15,10 @@
 //!   shards: what the reclamation scheme costs end-to-end, through rings,
 //!   batching, and the map itself.
 //!
-//! Every run installs the `KV_POLICY`-selected trigger policy (default
-//! `capped`, the legacy trigger) on each shard's domain; the chosen policy
-//! is the last CSV column.
-//!
 //! Columns (see EXPERIMENTS.md):
 //! `section,scheme,shards,clients,pipeline,batch,ring,keys,theta,read_pct,
 //! warmup_ms,duration_ms,total_mops,min_shard_mops,max_shard_mops,p50_ns,
-//! p99_ns,p999_ns,peak_shard_garbage,policy`
+//! p99_ns,p999_ns,peak_shard_garbage`
 //!
 //! The scaling verdict (max-shard ÷ 1-shard throughput) goes to stderr with
 //! the host's core count: on a 1-core host every shard multiplexes the
@@ -32,14 +28,13 @@
 
 use bench::kv_run::{run_kv, KvResult, KvRun};
 use kv_service::{available_cores, EbrStore, HppStore, HyalineStore, NrStore, ShardStore};
-use smr_common::policy::PolicyKind;
 
 const HEADER: &str = "section,scheme,shards,clients,pipeline,batch,ring,keys,theta,read_pct,\
 warmup_ms,duration_ms,total_mops,min_shard_mops,max_shard_mops,p50_ns,p99_ns,p999_ns,\
-peak_shard_garbage,policy";
+peak_shard_garbage";
 
-fn scenario(shards: usize, policy: PolicyKind, quick: bool) -> KvRun {
-    let rc = KvRun::read_mostly(shards).with_policy(policy);
+fn scenario(shards: usize, quick: bool) -> KvRun {
+    let rc = KvRun::read_mostly(shards);
     if quick {
         rc.quick()
     } else {
@@ -76,10 +71,10 @@ fn row<S: ShardStore>(section: &str, rc: &KvRun) -> KvResult {
             r.timeouts
         );
         let stats = ["timeout"; 7].join(",");
-        println!("{prefix},{stats},{}", rc.policy);
+        println!("{prefix},{stats}");
     } else {
         println!(
-            "{prefix},{:.4},{:.4},{:.4},{},{},{},{},{}",
+            "{prefix},{:.4},{:.4},{:.4},{},{},{},{}",
             r.total_mops,
             r.min_shard_mops,
             r.max_shard_mops,
@@ -87,7 +82,6 @@ fn row<S: ShardStore>(section: &str, rc: &KvRun) -> KvResult {
             r.p99_ns,
             r.p999_ns,
             r.peak_shard_garbage,
-            rc.policy,
         );
     }
     r
@@ -99,11 +93,10 @@ fn main() {
 
     // The sweep's top shard count tracks the config: `KV_SHARDS` overrides
     // the default 4 (the sweep used to hard-code [1, 2, 4] and ignore the
-    // override). `KV_POLICY` picks the per-shard trigger policy.
+    // override).
     let max_shards = smr_common::env::parse_usize("KV_SHARDS")
         .filter(|&n| n > 0)
         .unwrap_or(4);
-    let policy = PolicyKind::from_env_var("KV_POLICY").unwrap_or_default();
     let mut sweep = vec![1usize, max_shards.div_ceil(2), max_shards];
     sweep.sort_unstable();
     sweep.dedup();
@@ -111,7 +104,7 @@ fn main() {
     let mut one_shard = None;
     let mut top_shard = None;
     for &shards in &sweep {
-        let r = row::<HppStore>("scaling", &scenario(shards, policy, quick));
+        let r = row::<HppStore>("scaling", &scenario(shards, quick));
         if shards == 1 {
             one_shard = Some(r);
         }
@@ -120,7 +113,7 @@ fn main() {
         }
     }
 
-    for_scheme_sweep(max_shards, policy, quick);
+    for_scheme_sweep(max_shards, quick);
 
     let cores = available_cores();
     if let (Some(s1), Some(stop)) = (one_shard, top_shard) {
@@ -136,8 +129,8 @@ fn main() {
     }
 }
 
-fn for_scheme_sweep(shards: usize, policy: PolicyKind, quick: bool) {
-    let rc = scenario(shards, policy, quick);
+fn for_scheme_sweep(shards: usize, quick: bool) {
+    let rc = scenario(shards, quick);
     row::<HppStore>("schemes", &rc);
     row::<EbrStore>("schemes", &rc);
     row::<HyalineStore>("schemes", &rc);

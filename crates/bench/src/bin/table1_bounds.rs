@@ -119,7 +119,7 @@ fn main() {
     // row grows like EBR's (CS-granularity protection — DESIGN.md §1.11)
     // and keeps the EBR-style watchdog trigger.
     let hyaline_coop_bound = hyaline::garbage_bound(participants);
-    let hyaline_stall_bound = 4 * hyaline::legacy_trigger().threshold(participants);
+    let hyaline_stall_bound = 4 * hyaline::trigger().threshold(participants);
 
     // EBR: the stalled thread holds a pin forever — unbounded growth.
     measure::<ds::guarded::HMList<u64, u64, ebr::Ebr>, _>(

@@ -53,8 +53,6 @@ pub struct KvRun {
     pub warmup: Duration,
     /// Measured window.
     pub duration: Duration,
-    /// Reclamation-trigger policy installed on every shard's domain.
-    pub policy: smr_common::policy::PolicyKind,
 }
 
 impl KvRun {
@@ -74,14 +72,7 @@ impl KvRun {
             remove_pct: 5,
             warmup: Duration::from_millis(300),
             duration: Duration::from_millis(1_500),
-            policy: smr_common::policy::PolicyKind::Capped,
         }
-    }
-
-    /// Builder-style per-shard policy override.
-    pub fn with_policy(mut self, policy: smr_common::policy::PolicyKind) -> Self {
-        self.policy = policy;
-        self
     }
 
     /// Shrinks the scenario for smoke tests and snapshot quick runs.
@@ -127,7 +118,6 @@ pub fn run_kv<S: ShardStore>(rc: &KvRun) -> KvResult {
         ring_depth: rc.ring_depth,
         // ~4 keys per bucket at 50% occupancy, floor of 64.
         buckets: ((rc.keys / 8).max(64) as usize).next_power_of_two(),
-        policy: rc.policy,
         ..KvConfig::new()
     });
 

@@ -3,32 +3,16 @@
 //! The broad sweeps (fig8, fig10, fig11, table2, appendix) iterate
 //! [`Scheme::ALL`] and filter through [`crate::applicable`], so they pick
 //! up a new scheme automatically. The *curated* subsets used to be
-//! hard-coded at each call site — fig9's scan storm, fig12's policy
-//! ablation, bench_snapshot's fig8 headline, the robustness churn tests —
-//! which is exactly how a newly added scheme would silently miss three of
-//! the four. Every curated list now lives here, next to the one mapping
-//! from a [`Scheme`] tag to its concrete [`GuardedScheme`] type, and the
-//! tests below cross-check the lists against `applicable`.
+//! hard-coded at each call site — fig9's scan storm, bench_snapshot's
+//! fig8 headline, the robustness churn tests — which is exactly how a
+//! newly added scheme would silently miss some of them. Every curated list
+//! now lives here, next to the one mapping from a [`Scheme`] tag to its
+//! concrete [`GuardedScheme`] type, and the tests below cross-check the
+//! lists against `applicable`.
 
 use smr_common::GuardedScheme;
 
 use crate::config::Scheme;
-
-/// Schemes carrying a `PolicySlot`, i.e. the `SMR_POLICY` /
-/// `SMR_POLICY_*` env latch applies to them: the fig12 policy-ablation
-/// rows.
-pub const POLICY: [Scheme; 5] = [
-    Scheme::Hp,
-    Scheme::Hpp,
-    Scheme::Ebr,
-    Scheme::Pebr,
-    Scheme::Hyaline,
-];
-
-/// Quick (CI) subset of [`POLICY`]: the paper's headline scheme plus the
-/// two reclamation-driver extremes (global epoch vs. snapshot-free
-/// handover).
-pub const POLICY_QUICK: [Scheme; 3] = [Scheme::Hpp, Scheme::Ebr, Scheme::Hyaline];
 
 /// fig9 scan-storm rows: every scheme that can field the optimistic
 /// HHSList (plain HP cannot — paper §2.3).
@@ -72,16 +56,10 @@ mod tests {
     #[test]
     fn curated_lists_are_applicable_subsets() {
         // Every curated entry must actually run on the structure its
-        // consumer drives: scan-storm rows on HHSList, policy and headline
-        // rows on the structures fig12/bench_snapshot use.
+        // consumer drives: scan-storm rows on HHSList, headline rows on the
+        // structure bench_snapshot uses.
         for scheme in SCAN_STORM {
             assert!(applicable(Ds::HHSList, scheme), "{scheme} in SCAN_STORM");
-        }
-        for scheme in POLICY {
-            assert!(applicable(Ds::HashMap, scheme), "{scheme} in POLICY");
-        }
-        for scheme in POLICY_QUICK {
-            assert!(POLICY.contains(&scheme), "{scheme} quick but not full");
         }
         for scheme in FIG8_HEADLINE {
             assert!(applicable(Ds::HMList, scheme), "{scheme} in FIG8_HEADLINE");

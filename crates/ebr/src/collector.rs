@@ -22,10 +22,9 @@
 //!   re-examining ineligible items.
 
 use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use parking_lot::Mutex;
-use smr_common::policy::{PolicySlot, ReclaimPolicy, Verdict};
 use smr_common::registry::{Node, Registry};
 use smr_common::{counters, fence as smr_fence, CachePadded, Retired};
 
@@ -52,23 +51,16 @@ fn collect_threshold_floor() -> usize {
     })
 }
 
-/// EBR's pre-policy trigger formula as [`policy`](smr_common::policy)
-/// parameters: `bags.len() ≥ max(EBR_COLLECT_THRESHOLD, 8 · participants)`
-/// (`slots` in [`RetireStats`](smr_common::policy::RetireStats) is the live
-/// participant count for this scheme).
-pub fn legacy_trigger() -> smr_common::policy::Capped {
+/// EBR's collection trigger:
+/// `bags.len() ≥ max(EBR_COLLECT_THRESHOLD, 8 · participants)`, evaluated
+/// on every deferred destroy.
+#[inline]
+pub fn trigger() -> smr_common::policy::Capped {
     smr_common::policy::Capped {
         floor: collect_threshold_floor(),
         k: COLLECT_K,
         period: 0,
     }
-}
-
-/// The env-selected default policy (`SMR_POLICY*` refining
-/// [`legacy_trigger`]); with no policy env vars this is `Capped` with the
-/// legacy parameters — bit-identical trigger decisions.
-pub(crate) fn default_policy() -> Arc<dyn ReclaimPolicy> {
-    smr_common::policy::PolicyConfig::from_env().build(legacy_trigger())
 }
 
 /// Per-participant epoch state. `state` packs `(epoch << 1) | pinned`.
@@ -106,9 +98,6 @@ pub struct Collector {
     /// Entry count of `orphans`, maintained under the lock. Lets collections
     /// skip the mutex entirely in the common no-orphans case.
     orphan_count: AtomicUsize,
-    /// Collection-trigger policy; unset, the env-selected default over
-    /// [`legacy_trigger`] is built lazily at the first deferred destroy.
-    policy: PolicySlot,
 }
 
 impl Default for Collector {
@@ -126,25 +115,7 @@ impl Collector {
             registry: Registry::new(),
             orphans: Mutex::new(Vec::new()),
             orphan_count: AtomicUsize::new(0),
-            policy: PolicySlot::new(),
         }
-    }
-
-    /// Installs the collection-trigger policy (must run before the
-    /// collector's first deferred destroy; the slot latches). Returns
-    /// `false` if a policy was already installed.
-    pub fn set_policy(&self, policy: Arc<dyn ReclaimPolicy>) -> bool {
-        self.policy.install(policy)
-    }
-
-    /// Feeds a watchdog verdict to the trigger policy (`Adaptive` reacts;
-    /// the others ignore it).
-    pub fn report_verdict(&self, verdict: Verdict) {
-        self.policy.report_verdict(verdict);
-    }
-
-    pub(crate) fn policy_slot(&self) -> &PolicySlot {
-        &self.policy
     }
 
     /// Registers the current thread, returning its local handle.
@@ -159,7 +130,6 @@ impl Collector {
             record: self.registry.insert(Participant::new()),
             bags: GenBags::new(),
             guard_live: false,
-            last_collect_ns: 0,
         }
     }
 
@@ -180,7 +150,7 @@ impl Collector {
     /// scheme enforces instead of hard-coding magic constants.
     #[inline]
     pub fn collect_threshold(&self) -> usize {
-        collect_threshold_floor().max(COLLECT_K * self.registry.live())
+        trigger().threshold(self.registry.live())
     }
 
     /// Tries to advance the global epoch; returns the epoch afterwards.
@@ -279,9 +249,6 @@ pub struct LocalHandle {
     /// Epoch-stamped local garbage in sealed generation bags.
     pub(crate) bags: GenBags,
     pub(crate) guard_live: bool,
-    /// When this thread last ran a collection (mono ns; only maintained
-    /// when the installed policy wants time, else stays 0).
-    pub(crate) last_collect_ns: u64,
 }
 
 // The handle is only a registration token plus thread-local garbage; the
@@ -338,25 +305,15 @@ impl LocalHandle {
         self.bags.len()
     }
 
-    /// Asks the collector's trigger policy whether a deferred destroy
-    /// should attempt a collection now.
+    /// Whether a deferred destroy should attempt a collection now
+    /// ([`trigger`] fires).
+    #[inline]
     pub(crate) fn should_collect(&self) -> bool {
-        use smr_common::policy::{self, Decision, RetireStats};
-        let slot = self.global.policy_slot();
-        let policy = slot.get_or_init(default_policy);
-        let since_scan_ns = if policy.wants_time() {
-            smr_common::time::mono_ns().saturating_sub(self.last_collect_ns)
-        } else {
-            0
-        };
-        let stats = RetireStats {
-            retired: self.bags.len(),
-            slots: self.global.registry.live(),
-            ops: 0,
-            since_scan_ns,
-            verdict: slot.verdict(),
-        };
-        policy::decide(policy, &stats) == Decision::Reclaim
+        let fire = trigger().fires(self.bags.len(), self.global.registry.live(), 0);
+        if fire {
+            counters::incr_policy_scan_forced();
+        }
+        fire
     }
 
     /// Attempts an epoch advance and frees everything eligible.
@@ -379,10 +336,6 @@ impl LocalHandle {
         smr_common::fault_point!("ebr::collect::after_adopt");
         let global_epoch = self.global.try_advance(&mut self.bags);
         self.bags.collect_expired(global_epoch);
-        let slot = self.global.policy_slot();
-        if slot.get_or_init(default_policy).wants_time() {
-            self.last_collect_ns = smr_common::time::mono_ns();
-        }
     }
 }
 

@@ -57,7 +57,7 @@ mod bags;
 mod collector;
 mod guard;
 
-pub use collector::{legacy_trigger, Collector, LocalHandle};
+pub use collector::{trigger, Collector, LocalHandle};
 pub use guard::Guard;
 
 use smr_common::{GuardedScheme, SchemeGuard, Shared};

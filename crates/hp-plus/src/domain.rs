@@ -1,10 +1,8 @@
 //! An HP++ domain: an HP domain plus the global fence epoch of Algorithm 5.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use smr_common::fence;
-use smr_common::policy::{PolicySlot, ReclaimPolicy, Verdict};
 
 use crate::thread::Thread;
 
@@ -15,9 +13,6 @@ pub struct Domain {
     /// fences so threads can piggyback hazard revocation on each other's
     /// fences.
     pub(crate) fence_epoch: AtomicU64,
-    /// Trigger policy for the unlink→reclaim cadence (the inner HP domain
-    /// carries its own slot for the plain-retire path).
-    unlink_policy: PolicySlot,
 }
 
 impl Default for Domain {
@@ -32,33 +27,7 @@ impl Domain {
         Self {
             hp: hp::Domain::new(),
             fence_epoch: AtomicU64::new(0),
-            unlink_policy: PolicySlot::new(),
         }
-    }
-
-    /// Installs the unlink-cadence reclamation policy (must run before the
-    /// domain's first unlink; the slot latches). Unset, the domain lazily
-    /// builds the env-selected default over
-    /// [`legacy_unlink_trigger`](crate::legacy_unlink_trigger).
-    pub fn set_unlink_policy(&self, policy: Arc<dyn ReclaimPolicy>) -> bool {
-        self.unlink_policy.install(policy)
-    }
-
-    /// Installs the plain-retire policy on the inner HP domain (hybrid-use
-    /// retirements, §4.2).
-    pub fn set_retire_policy(&self, policy: Arc<dyn ReclaimPolicy>) -> bool {
-        self.hp.set_policy(policy)
-    }
-
-    /// Feeds a watchdog verdict to both trigger policies (unlink cadence
-    /// and the inner HP retire path).
-    pub fn report_verdict(&self, verdict: Verdict) {
-        self.unlink_policy.report_verdict(verdict);
-        self.hp.report_verdict(verdict);
-    }
-
-    pub(crate) fn unlink_policy_slot(&self) -> &PolicySlot {
-        &self.unlink_policy
     }
 
     /// Registers the current thread.

@@ -139,23 +139,17 @@ pub(crate) fn periods() -> (usize, usize) {
     })
 }
 
-/// HP++'s pre-policy reclaim cadence as [`policy`](smr_common::policy)
-/// parameters: reclaim every `HPP_RECLAIM_PERIOD` unlinks (a cadence-only
-/// trigger — the count branch is unarmed). The invalidation cadence
-/// (`HPP_INVALIDATE_PERIOD`) is *not* policy-driven: it is a correctness
-/// batching knob, checked only when the policy skips reclamation.
-pub fn legacy_unlink_trigger() -> smr_common::policy::Capped {
+/// HP++'s reclaim trigger: reclaim every `HPP_RECLAIM_PERIOD` unlinks (a
+/// cadence-only trigger — the count branch is unarmed). The invalidation
+/// cadence (`HPP_INVALIDATE_PERIOD`) is a correctness batching knob,
+/// checked only when this trigger does not fire.
+#[inline]
+pub fn unlink_trigger() -> smr_common::policy::Capped {
     smr_common::policy::Capped {
         floor: 0,
         k: 0,
         period: periods().1 as u64,
     }
-}
-
-/// The env-selected default unlink policy (`SMR_POLICY*` refining
-/// [`legacy_unlink_trigger`]).
-pub(crate) fn default_unlink_policy() -> std::sync::Arc<dyn smr_common::policy::ReclaimPolicy> {
-    smr_common::policy::PolicyConfig::from_env().build(legacy_unlink_trigger())
 }
 
 /// A node type that can be invalidated by an HP++ unlinker.

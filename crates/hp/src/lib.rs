@@ -93,22 +93,13 @@ pub fn reclaim_k() -> usize {
     })
 }
 
-/// HP's pre-policy trigger formula as [`policy`](smr_common::policy)
-/// parameters: `retired ≥ max(RECLAIM_THRESHOLD, reclaim_k() · H)`. This is
-/// what a [`Domain`](crate::Domain) runs when no policy is installed, and
-/// the base every other policy kind refines (kv-service builds per-shard
-/// `Adaptive`/`TimedCapped` policies over it).
-pub fn legacy_trigger() -> smr_common::policy::Capped {
+/// HP's scan trigger: `retired ≥ max(RECLAIM_THRESHOLD, reclaim_k() · H)`
+/// with `H` the domain's hazard-slot capacity, evaluated on every retire.
+#[inline]
+pub fn trigger() -> smr_common::policy::Capped {
     smr_common::policy::Capped {
         floor: RECLAIM_THRESHOLD,
         k: reclaim_k(),
         period: 0,
     }
-}
-
-/// The env-selected default policy (`SMR_POLICY*` refining
-/// [`legacy_trigger`]); with no policy env vars this is `Capped` with the
-/// legacy parameters — bit-identical trigger decisions.
-pub(crate) fn default_policy() -> std::sync::Arc<dyn smr_common::policy::ReclaimPolicy> {
-    smr_common::policy::PolicyConfig::from_env().build(legacy_trigger())
 }

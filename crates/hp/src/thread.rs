@@ -1,11 +1,9 @@
 //! Per-thread HP state: slot cache, retired bag, reclamation.
 
-use smr_common::policy::{self, Decision, RetireStats};
 use smr_common::{counters, fence, Retired};
 
 use crate::domain::Domain;
 use crate::hazard::{HazardPointer, HazardSlot};
-use crate::{reclaim_k, RECLAIM_THRESHOLD};
 
 /// A thread's registration with a [`Domain`].
 ///
@@ -25,11 +23,6 @@ pub struct Thread {
     /// scan start and survivors are pushed back, so both vectors keep their
     /// capacities across cycles.
     scan_bag: Vec<Retired>,
-    /// When this thread last completed a scan, for time-based policies
-    /// (only maintained while the installed policy
-    /// [`wants_time`](smr_common::policy::ReclaimPolicy::wants_time) —
-    /// other policies never pay the clock read).
-    last_scan_ns: u64,
 }
 
 unsafe impl Send for Thread {}
@@ -42,7 +35,6 @@ impl Thread {
             retired: Vec::new(),
             scan_protected: Vec::new(),
             scan_bag: Vec::new(),
-            last_scan_ns: 0,
         }
     }
 
@@ -74,7 +66,7 @@ impl Thread {
     /// the fixed floor keeps single-thread scans amortized too.
     #[inline]
     pub fn reclaim_threshold(&self) -> usize {
-        RECLAIM_THRESHOLD.max(reclaim_k() * self.domain.slot_capacity())
+        crate::trigger().threshold(self.domain.slot_capacity())
     }
 
     /// Retires `ptr`: the node becomes garbage and is freed by a later
@@ -101,24 +93,11 @@ impl Thread {
         self.maybe_reclaim();
     }
 
-    /// Consults the domain's policy (installed, or the env-built default
-    /// over [`crate::legacy_trigger`]) and scans if it says to.
+    /// Scans if [`crate::trigger`] fires.
+    #[inline]
     fn maybe_reclaim(&mut self) {
-        let slot = self.domain.policy_slot();
-        let policy = slot.get_or_init(crate::default_policy);
-        let since_scan_ns = if policy.wants_time() {
-            smr_common::time::mono_ns().saturating_sub(self.last_scan_ns)
-        } else {
-            0
-        };
-        let stats = RetireStats {
-            retired: self.retired.len(),
-            slots: self.domain.slot_capacity(),
-            ops: 0,
-            since_scan_ns,
-            verdict: slot.verdict(),
-        };
-        if policy::decide(policy, &stats) == Decision::Reclaim {
+        if crate::trigger().fires(self.retired.len(), self.domain.slot_capacity(), 0) {
+            counters::incr_policy_scan_forced();
             self.reclaim();
         }
     }
@@ -189,10 +168,6 @@ impl Thread {
                 unsafe { r.free() };
             }
         }
-        let slot = self.domain.policy_slot();
-        if slot.get_or_init(crate::default_policy).wants_time() {
-            self.last_scan_ns = smr_common::time::mono_ns();
-        }
     }
 }
 
@@ -223,6 +198,7 @@ impl Drop for Thread {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RECLAIM_THRESHOLD;
     use smr_common::{Atomic, Shared};
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::*};
     use std::sync::Arc;

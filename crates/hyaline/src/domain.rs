@@ -18,7 +18,7 @@
 //!   batch never needs to reach that slot — this is what keeps a thread
 //!   stalled *mid-enter* from pinning garbage, unlike EBR's wedged epoch.
 //! * **Retire** pushes the node onto a thread-local batch (O(1), no fence).
-//!   When the policy fires, **handover** bumps the global era (a release RMW
+//!   When the trigger fires, **handover** bumps the global era (a release RMW
 //!   — every retired node in the batch is ordered before the new era), issues
 //!   the heavy fence, and walks the registry twice: pass 1 counts the slots
 //!   the batch must reach (ACTIVE with a pre-bump era) and ejects stale
@@ -65,10 +65,9 @@
 
 use std::ptr;
 use std::sync::atomic::{AtomicIsize, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use parking_lot::Mutex;
-use smr_common::policy::{PolicySlot, ReclaimPolicy, Verdict};
 use smr_common::registry::{Node, Registry};
 use smr_common::{counters, fence as smr_fence, CachePadded, Retired};
 
@@ -105,22 +104,16 @@ fn batch_threshold_floor() -> usize {
     })
 }
 
-/// Hyaline's trigger formula as [`policy`](smr_common::policy) parameters:
-/// `batch ≥ max(HYALINE_BATCH_THRESHOLD, 8 · slots)` (`slots` in
-/// [`RetireStats`](smr_common::policy::RetireStats) is the live registered
-/// handle count for this scheme).
-pub fn legacy_trigger() -> smr_common::policy::Capped {
+/// Hyaline's handover trigger:
+/// `batch ≥ max(HYALINE_BATCH_THRESHOLD, 8 · slots)`, `slots` being the
+/// live registered handle count, evaluated on every retire.
+#[inline]
+pub fn trigger() -> smr_common::policy::Capped {
     smr_common::policy::Capped {
         floor: batch_threshold_floor(),
         k: BATCH_K,
         period: 0,
     }
-}
-
-/// The env-selected default policy (`SMR_POLICY*` refining
-/// [`legacy_trigger`]).
-pub(crate) fn default_policy() -> Arc<dyn ReclaimPolicy> {
-    smr_common::policy::PolicyConfig::from_env().build(legacy_trigger())
 }
 
 /// Derived worst-case garbage bound at `threads` registered handles when no
@@ -133,7 +126,7 @@ pub(crate) fn default_policy() -> Arc<dyn ReclaimPolicy> {
 /// `2 · (threads + 1) · max(floor, k · (threads + 1))`, the hyaline analogue
 /// of HP's `k·H + floor`.
 pub fn garbage_bound(threads: usize) -> usize {
-    2 * (threads + 1) * legacy_trigger().threshold(threads + 1)
+    2 * (threads + 1) * trigger().threshold(threads + 1)
 }
 
 /// One retired allocation riding a batch.
@@ -206,9 +199,6 @@ pub struct Domain {
     dead_slots: Mutex<Vec<(u64, Retired)>>,
     /// Entry count of `dead_slots` for the lock-free empty check.
     dead_count: AtomicUsize,
-    /// Handover-trigger policy; unset, the env-selected default over
-    /// [`legacy_trigger`] is built lazily at the first deferred destroy.
-    policy: PolicySlot,
 }
 
 impl Default for Domain {
@@ -228,25 +218,7 @@ impl Domain {
             orphan_count: AtomicUsize::new(0),
             dead_slots: Mutex::new(Vec::new()),
             dead_count: AtomicUsize::new(0),
-            policy: PolicySlot::new(),
         }
-    }
-
-    /// Installs the handover-trigger policy (must run before the domain's
-    /// first deferred destroy; the slot latches). Returns `false` if a
-    /// policy was already installed.
-    pub fn set_policy(&self, policy: Arc<dyn ReclaimPolicy>) -> bool {
-        self.policy.install(policy)
-    }
-
-    /// Feeds a watchdog verdict to the trigger policy (`Adaptive` reacts;
-    /// the others ignore it).
-    pub fn report_verdict(&self, verdict: Verdict) {
-        self.policy.report_verdict(verdict);
-    }
-
-    pub(crate) fn policy_slot(&self) -> &PolicySlot {
-        &self.policy
     }
 
     /// Registers the current thread, returning its local handle.
@@ -282,7 +254,7 @@ impl Domain {
     /// scheme enforces instead of hard-coding magic constants.
     #[inline]
     pub fn handover_threshold(&self) -> usize {
-        legacy_trigger().threshold(self.registry.live())
+        trigger().threshold(self.registry.live())
     }
 
     /// Number of donated payloads awaiting adoption (diagnostics and the
@@ -481,7 +453,8 @@ impl LocalHandle {
         self.batch_len
     }
 
-    /// Links a retired payload onto the local batch and consults the policy.
+    /// Links a retired payload onto the local batch and hands it over if
+    /// [`trigger`] fires.
     pub(crate) fn push_retired(&mut self, retired: Retired) {
         let node = Box::into_raw(Box::new(BatchNode {
             payload: retired,
@@ -498,20 +471,15 @@ impl LocalHandle {
         }
     }
 
-    /// Asks the domain's trigger policy whether this retire should attempt
-    /// a handover now.
+    /// Whether this retire should attempt a handover now ([`trigger`]
+    /// fires).
+    #[inline]
     pub(crate) fn should_collect(&self) -> bool {
-        use smr_common::policy::{self, Decision, RetireStats};
-        let slot = self.global.policy_slot();
-        let policy = slot.get_or_init(default_policy);
-        let stats = RetireStats {
-            retired: self.batch_len,
-            slots: self.global.registry.live(),
-            ops: 0,
-            since_scan_ns: 0,
-            verdict: slot.verdict(),
-        };
-        policy::decide(policy, &stats) == Decision::Reclaim
+        let fire = trigger().fires(self.batch_len, self.global.registry.live(), 0);
+        if fire {
+            counters::incr_policy_scan_forced();
+        }
+        fire
     }
 
     /// Adopts orphans, attempts a handover, and reaps dead slot records.
@@ -617,7 +585,7 @@ impl LocalHandle {
         );
 
         // The handover needs one carrier node per reachable slot. A small
-        // batch (eager policy, explicit flush) or a registration burst can
+        // batch (explicit flush) or a registration burst can
         // leave fewer nodes than slots; pad with empty carriers so the
         // handover always completes — flush must be able to drain. (The
         // default trigger `max(floor, 8·slots)` makes this a cold path.)

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use smr_common::policy::Verdict;
+use smr_common::watchdog::Verdict;
 use smr_common::Backoff;
 
 use crate::ring::{Command, Deadline, PushError, ResponseSlot, WaitError};

@@ -24,8 +24,7 @@ use std::sync::atomic::{AtomicU64, AtomicU8};
 use std::sync::Arc;
 use std::time::Duration;
 
-use smr_common::policy::Verdict;
-use smr_common::watchdog::GarbageWatchdog;
+use smr_common::watchdog::{GarbageWatchdog, Verdict};
 
 use crate::ring::{Command, Entry, ResponseSlot, Ring};
 use crate::store::ShardStore;
@@ -178,9 +177,8 @@ pub(crate) fn run_worker<S: ShardStore>(
     // Per-shard watchdog, fed every `WATCHDOG_SAMPLE_BATCHES` batches. The
     // progress token advances whenever the shard's garbage level drops (or
     // is zero) — with one worker per shard, local garbage shrinks iff this
-    // shard's collector reclaimed something. The resulting verdict feeds
-    // back into the shard's trigger policy (`Adaptive` tightens under
-    // pressure).
+    // shard's collector reclaimed something. The verdict is published in
+    // the shard's health word.
     let bound = shard
         .store
         .garbage_bound()
@@ -217,7 +215,6 @@ pub(crate) fn run_worker<S: ShardStore>(
             let status = watchdog.observe(progress_token, garbage as usize);
             let verdict = Verdict::from(&status);
             shard.verdict.store(verdict.encode(), Relaxed);
-            shard.store.report_verdict(verdict);
         }
         shard.stats.record_batch(drained, garbage);
     }

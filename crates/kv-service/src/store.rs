@@ -18,18 +18,8 @@
 //! the epoch for all of them. The shard-isolation test runs it as the A/B
 //! control for the per-shard [`EbrStore`].
 
-use smr_common::policy::{PolicyConfig, PolicyKind, Verdict};
+use smr_common::policy::PolicyKind;
 use smr_common::ConcurrentMap;
-
-/// The per-shard trigger-policy config: `KV_POLICY` (via
-/// [`KvConfig::policy`](crate::KvConfig)) picks the kind, while the
-/// process-wide `SMR_POLICY_THRESHOLD`/`SMR_POLICY_K`/`SMR_POLICY_TIMEOUT_MS`
-/// parameter overrides still apply.
-fn shard_policy_config(kind: PolicyKind) -> PolicyConfig {
-    let mut cfg = PolicyConfig::from_env();
-    cfg.kind = kind;
-    cfg
-}
 
 /// One shard's map + private reclamation domain.
 pub trait ShardStore: Send + Sync + Sized + 'static {
@@ -37,10 +27,8 @@ pub trait ShardStore: Send + Sync + Sized + 'static {
     type Handle;
 
     /// Builds the shard: fresh map, fresh domain. `buckets` sizes the
-    /// shard's hash table; `policy` selects the reclamation-trigger policy
-    /// installed on the shard's private domain (ignored by stores without
-    /// one — NR never reclaims, the shared-EBR control keeps the process
-    /// default).
+    /// shard's hash table. `PolicyKind` has the one variant `Capped`: every
+    /// store's domain runs its scheme's own inline trigger.
     fn new_shard(buckets: usize, policy: PolicyKind) -> Self;
 
     /// Registers a worker with this shard's domain.
@@ -73,11 +61,6 @@ pub trait ShardStore: Send + Sync + Sized + 'static {
         0
     }
 
-    /// Feeds a per-shard watchdog verdict to the shard's trigger policy
-    /// (`Adaptive` reacts; everything else — including stores without a
-    /// private domain — ignores it).
-    fn report_verdict(&self, _verdict: Verdict) {}
-
     /// Scheme tag for stats and bench CSV rows.
     const SCHEME: &'static str;
 }
@@ -93,14 +76,11 @@ pub struct HppStore {
 impl ShardStore for HppStore {
     type Handle = ds::hpp::Handle;
 
-    fn new_shard(buckets: usize, policy: PolicyKind) -> Self {
+    fn new_shard(buckets: usize, _policy: PolicyKind) -> Self {
         // Shards live for the service's lifetime and domains must outlive
         // every handle they registered; leaking one small Domain per shard
         // is the same idiom the fault tests use.
         let domain: &'static hp_plus::Domain = Box::leak(Box::new(hp_plus::Domain::new()));
-        let cfg = shard_policy_config(policy);
-        domain.set_unlink_policy(cfg.build(hp_plus::legacy_unlink_trigger()));
-        domain.set_retire_policy(cfg.build(hp::legacy_trigger()));
         Self {
             domain,
             map: ds::hpp::hash_map_in(domain, buckets),
@@ -128,16 +108,12 @@ impl ShardStore for HppStore {
     }
 
     fn garbage_bound(&self) -> Option<u64> {
-        // HP's adaptive trigger is max(threshold, k·H); the bound allows
-        // their sum, plus HP++'s deferred-invalidation slack (up to
+        // HP's trigger is max(threshold, k·H); the bound allows their sum
+        // (`Capped::bound`), plus HP++'s deferred-invalidation slack (up to
         // RECLAIM_PERIOD unlinked batches of ≤ 2 nodes), times a 2x
         // in-flight margin — the same derivation as tests/robustness.rs.
-        let h_slots = self.domain.hp_domain().slot_capacity() as u64;
-        Some(
-            2 * (hp::reclaim_k() as u64 * h_slots
-                + hp::RECLAIM_THRESHOLD as u64
-                + 2 * hp_plus::RECLAIM_PERIOD as u64),
-        )
+        let h_slots = self.domain.hp_domain().slot_capacity();
+        Some(2 * (hp::trigger().bound(h_slots) as u64 + 2 * hp_plus::RECLAIM_PERIOD as u64))
     }
 
     fn quiesce(&self, handle: &mut Self::Handle) {
@@ -150,10 +126,6 @@ impl ShardStore for HppStore {
         // the time shutdown calls this).
         let mut thread = self.domain.register();
         thread.reclaim();
-    }
-
-    fn report_verdict(&self, verdict: Verdict) {
-        self.domain.report_verdict(verdict);
     }
 
     fn settled_garbage(&self) -> u64 {
@@ -187,9 +159,8 @@ impl EbrStore {
 impl ShardStore for EbrStore {
     type Handle = ebr::LocalHandle;
 
-    fn new_shard(buckets: usize, policy: PolicyKind) -> Self {
+    fn new_shard(buckets: usize, _policy: PolicyKind) -> Self {
         let collector: &'static ebr::Collector = Box::leak(Box::new(ebr::Collector::new()));
-        collector.set_policy(shard_policy_config(policy).build(ebr::legacy_trigger()));
         Self {
             collector,
             map: ds::hash_map::HashMap::with_buckets(buckets),
@@ -239,10 +210,6 @@ impl ShardStore for EbrStore {
         }
     }
 
-    fn report_verdict(&self, verdict: Verdict) {
-        self.collector.report_verdict(verdict);
-    }
-
     fn settled_garbage(&self) -> u64 {
         self.collector.orphan_count() as u64
     }
@@ -263,9 +230,8 @@ pub struct HyalineStore {
 impl ShardStore for HyalineStore {
     type Handle = hyaline::LocalHandle;
 
-    fn new_shard(buckets: usize, policy: PolicyKind) -> Self {
+    fn new_shard(buckets: usize, _policy: PolicyKind) -> Self {
         let domain: &'static hyaline::Domain = Box::leak(Box::new(hyaline::Domain::new()));
-        domain.set_policy(shard_policy_config(policy).build(hyaline::legacy_trigger()));
         Self {
             domain,
             map: ds::hash_map::HashMap::with_buckets(buckets),
@@ -317,10 +283,6 @@ impl ShardStore for HyalineStore {
         }
     }
 
-    fn report_verdict(&self, verdict: Verdict) {
-        self.domain.report_verdict(verdict);
-    }
-
     fn settled_garbage(&self) -> u64 {
         self.domain.orphan_count() as u64
     }
@@ -339,8 +301,6 @@ impl ShardStore for EbrSharedStore {
     type Handle = ebr::LocalHandle;
 
     fn new_shard(buckets: usize, _policy: PolicyKind) -> Self {
-        // The process-default collector is shared with everything else in
-        // the process; a per-shard policy must not latch onto it.
         Self {
             map: ds::hash_map::HashMap::with_buckets(buckets),
         }

@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 use kv_service::{HppStore, KvConfig, KvService, ShardStore};
 use proptest::prelude::*;
 use smr_common::counters;
-use smr_common::policy::Verdict;
+use smr_common::watchdog::Verdict;
 
 fn serial() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();

@@ -21,7 +21,6 @@ use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use smr_common::policy::{PolicySlot, ReclaimPolicy, Verdict};
 use smr_common::{counters, CachePadded, GuardedScheme, Retired, SchemeGuard, Shared};
 
 /// Retire this many blocks before attempting a collection. Public so tests
@@ -31,23 +30,16 @@ pub const COLLECT_THRESHOLD: usize = 128;
 /// derived-bound reason as [`COLLECT_THRESHOLD`].
 pub const EJECT_THRESHOLD: usize = 1024;
 
-/// PEBR's pre-policy trigger formula as [`policy`](smr_common::policy)
-/// parameters: a plain fixed threshold, `garbage.len() ≥ COLLECT_THRESHOLD`
-/// (no slot-proportional term — robustness comes from ejection, not from
-/// scaling the trigger).
-pub fn legacy_trigger() -> smr_common::policy::Capped {
+/// PEBR's collection trigger: a plain fixed threshold,
+/// `garbage.len() ≥ COLLECT_THRESHOLD` (no slot-proportional term —
+/// robustness comes from ejection, not from scaling the trigger).
+#[inline]
+pub fn trigger() -> smr_common::policy::Capped {
     smr_common::policy::Capped {
         floor: COLLECT_THRESHOLD,
         k: 0,
         period: 0,
     }
-}
-
-/// The env-selected default policy (`SMR_POLICY*` refining
-/// [`legacy_trigger`]); with no policy env vars this is `Capped` with the
-/// legacy parameters — bit-identical trigger decisions.
-fn default_policy() -> Arc<dyn ReclaimPolicy> {
-    smr_common::policy::PolicyConfig::from_env().build(legacy_trigger())
 }
 
 /// Named fault-injection points compiled into this crate (each a
@@ -72,9 +64,6 @@ pub struct Collector {
     epoch: CachePadded<AtomicU64>,
     participants: Mutex<Vec<Arc<Participant>>>,
     orphans: Mutex<Vec<(u64, Retired)>>,
-    /// Collection-trigger policy; unset, the env-selected default over
-    /// [`legacy_trigger`] is built lazily at the first deferred destroy.
-    policy: PolicySlot,
 }
 
 impl Default for Collector {
@@ -90,21 +79,7 @@ impl Collector {
             epoch: CachePadded::new(AtomicU64::new(0)),
             participants: Mutex::new(Vec::new()),
             orphans: Mutex::new(Vec::new()),
-            policy: PolicySlot::new(),
         }
-    }
-
-    /// Installs the collection-trigger policy (must run before the
-    /// collector's first deferred destroy; the slot latches). Returns
-    /// `false` if a policy was already installed.
-    pub fn set_policy(&self, policy: Arc<dyn ReclaimPolicy>) -> bool {
-        self.policy.install(policy)
-    }
-
-    /// Feeds a watchdog verdict to the trigger policy (`Adaptive` reacts;
-    /// the others ignore it).
-    pub fn report_verdict(&self, verdict: Verdict) {
-        self.policy.report_verdict(verdict);
     }
 
     /// Registers the current thread.
@@ -124,7 +99,6 @@ impl Collector {
             record,
             garbage: Vec::new(),
             guard_live: false,
-            last_collect_ns: 0,
         }
     }
 
@@ -184,9 +158,6 @@ pub struct LocalHandle {
     record: Arc<Participant>,
     garbage: Vec<(u64, Retired)>,
     guard_live: bool,
-    /// When this thread last ran a collection (mono ns; only maintained
-    /// when the installed policy wants time, else stays 0).
-    last_collect_ns: u64,
 }
 
 unsafe impl Send for LocalHandle {}
@@ -225,25 +196,15 @@ impl LocalHandle {
         self.record.state.store(0, Ordering::Release);
     }
 
-    /// Asks the collector's trigger policy whether a deferred destroy
-    /// should attempt a collection now.
+    /// Whether a deferred destroy should attempt a collection now
+    /// ([`trigger`] fires).
+    #[inline]
     fn should_collect(&self) -> bool {
-        use smr_common::policy::{self, Decision, RetireStats};
-        let slot = &self.global.policy;
-        let policy = slot.get_or_init(default_policy);
-        let since_scan_ns = if policy.wants_time() {
-            smr_common::time::mono_ns().saturating_sub(self.last_collect_ns)
-        } else {
-            0
-        };
-        let stats = RetireStats {
-            retired: self.garbage.len(),
-            slots: 0,
-            ops: 0,
-            since_scan_ns,
-            verdict: slot.verdict(),
-        };
-        policy::decide(policy, &stats) == Decision::Reclaim
+        let fire = trigger().fires(self.garbage.len(), 0, 0);
+        if fire {
+            counters::incr_policy_scan_forced();
+        }
+        fire
     }
 
     fn collect(&mut self) {
@@ -261,9 +222,6 @@ impl LocalHandle {
             } else {
                 i += 1;
             }
-        }
-        if self.global.policy.get_or_init(default_policy).wants_time() {
-            self.last_collect_ns = smr_common::time::mono_ns();
         }
     }
 }

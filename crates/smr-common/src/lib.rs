@@ -30,13 +30,11 @@
 //!   robustness matrix in `tests/fault_matrix.rs`.
 //! * [`watchdog`] — [`GarbageWatchdog`](watchdog::GarbageWatchdog), which
 //!   classifies a run as healthy / degraded-bounded / growing-unbounded
-//!   from sampled progress + garbage counters (the Table 1 failure modes).
-//! * [`policy`] — pluggable reclamation-trigger strategies
-//!   ([`ReclaimPolicy`](policy::ReclaimPolicy): eager / capped /
-//!   timed-capped / watchdog-adaptive) consulted by every scheme's
-//!   retire path through a per-domain [`PolicySlot`](policy::PolicySlot);
-//!   knobs `SMR_POLICY`, `SMR_POLICY_THRESHOLD`, `SMR_POLICY_K`,
-//!   `SMR_POLICY_TIMEOUT_MS`.
+//!   from sampled progress + garbage counters (the Table 1 failure modes),
+//!   and its payload-free [`Verdict`](watchdog::Verdict).
+//! * [`policy`] — [`Capped`](policy::Capped), the count-or-cadence scan
+//!   trigger each scheme evaluates inline on its retire path
+//!   (`hp::trigger()`, `ebr::trigger()`, …).
 //! * [`env`] — shared env-var parsing with malformed-value accounting
 //!   (one warning + one [`counters::env_malformed`] bump per bad value).
 

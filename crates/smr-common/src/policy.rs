@@ -1,198 +1,35 @@
-//! Pluggable reclamation-trigger policies.
+//! The reclamation trigger every scheme shares.
 //!
 //! Every scheme in the workspace amortizes its retire→scan→free cost the
-//! same way: retirement is O(1) and a *trigger predicate* decides when to
-//! pay for a scan. Before this module each scheme hard-coded its own
-//! predicate (hp: `retired ≥ max(128, k·H)`; ebr: `bags ≥ max(floor,
-//! 8·participants)`; hp-plus: `unlinks % 128 == 0`; pebr: `garbage ≥ 128`).
-//! The predicate — not the scan mechanics — dominates the
-//! throughput/memory-bound trade-off, so it is now a strategy object:
+//! same way: retirement is O(1), and one fixed count or cadence decides
+//! when a retire pays for a scan. [`Capped`] is that decision as one
+//! parameterization. Each scheme builds its own value and evaluates
+//! [`Capped::fires`] inline at its retire point:
 //!
-//! | policy | trigger | memory bound |
-//! |---|---|---|
-//! | [`Eager`] | every retirement | tightest (≈ 0 idle garbage) |
-//! | [`Capped`] | the legacy formula, bit-for-bit | `k·H + floor` |
-//! | [`TimedCapped`] | [`Capped`] **or** age > timeout | `k·H + floor` |
-//! | [`Adaptive`] | [`Capped`] with a watchdog-driven threshold | `k·H + floor` |
+//! | scheme | trigger function | `Capped {floor, k, period}` | `slots` |
+//! |---|---|---|---|
+//! | hp | `hp::trigger()` | `{128, HP_RECLAIM_K, 0}` | hazard-slot capacity |
+//! | hp-plus | `hp_plus::unlink_trigger()` | `{0, 0, HPP_RECLAIM_PERIOD}` | (cadence on `ops`) |
+//! | ebr | `ebr::trigger()` | `{EBR_COLLECT_THRESHOLD, 8, 0}` | live participants |
+//! | pebr | `pebr::trigger()` | `{128, 0, 0}` | 0 |
+//! | hyaline | `hyaline::trigger()` | `{HYALINE_BATCH_THRESHOLD, 8, 0}` | live handles |
 //!
-//! [`Adaptive`] closes the loop that the PR-4
-//! [`GarbageWatchdog`](crate::watchdog::GarbageWatchdog) opened: while the
-//! watchdog reports `Healthy`, each completed scan doubles the effective
-//! threshold (fewer, better-amortized scans on read-heavy steady state);
-//! the moment it reports `DegradedBounded`/`GrowingUnbounded`, the
-//! threshold snaps to its floor (scan at every opportunity under a write
-//! storm). The effective threshold is clamped to the derived Table-1 cap
-//! `k·slots + floor` *by construction*, so relaxing never voids the
-//! scheme's published bound.
-//!
-//! A scheme consults its policy through a [`PolicySlot`] embedded in its
-//! domain/collector: installable once per domain ([`PolicySlot::install`]),
-//! defaulting to [`PolicyConfig::from_env`]-built [`Capped`] with the
-//! scheme's legacy parameters — so with no policy env vars set, trigger
-//! decisions are bit-identical to the pre-policy code.
+//! A scheme bumps [`counters::policy_scans_forced`](crate::counters::policy_scans_forced)
+//! each time its trigger fires, so benches can report scans per retire.
 
-use std::sync::atomic::{AtomicI8, AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock};
-
-use crate::counters;
-use crate::watchdog::WatchdogStatus;
-
-/// What a policy tells the scheme to do right now.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Decision {
-    /// Pay for a scan (hp scan, ebr collect, hpp reclaim, …) now.
-    Reclaim,
-    /// Defer; keep accumulating garbage.
-    Skip,
-}
-
-/// A payload-free mirror of [`WatchdogStatus`], cheap enough to store in an
-/// atomic and feed back into trigger decisions.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Verdict {
-    /// No watchdog has reported yet (treated as healthy for relaxation:
-    /// bench harnesses without a watchdog still amortize).
-    #[default]
-    Unknown,
-    /// Garbage within bound, collector making progress.
-    Healthy,
-    /// Stalled but within the derived bound.
-    DegradedBounded,
-    /// Stalled and past the bound — the Table-1 failure mode.
-    GrowingUnbounded,
-}
-
-impl Verdict {
-    /// Encodes the verdict for storage in an atomic (used by [`PolicySlot`]
-    /// and by the kv-service per-shard health word).
-    pub fn encode(self) -> u8 {
-        match self {
-            Verdict::Unknown => 0,
-            Verdict::Healthy => 1,
-            Verdict::DegradedBounded => 2,
-            Verdict::GrowingUnbounded => 3,
-        }
-    }
-
-    /// Inverse of [`encode`](Self::encode); unknown raw values decode to
-    /// [`Verdict::Unknown`].
-    pub fn decode(raw: u8) -> Self {
-        match raw {
-            1 => Verdict::Healthy,
-            2 => Verdict::DegradedBounded,
-            3 => Verdict::GrowingUnbounded,
-            _ => Verdict::Unknown,
-        }
-    }
-
-    /// Whether this verdict signals memory pressure (tighten) rather than
-    /// health (relax).
-    pub fn is_pressure(self) -> bool {
-        matches!(self, Verdict::DegradedBounded | Verdict::GrowingUnbounded)
-    }
-}
-
-impl From<&WatchdogStatus> for Verdict {
-    fn from(status: &WatchdogStatus) -> Self {
-        match status {
-            WatchdogStatus::Healthy => Verdict::Healthy,
-            WatchdogStatus::DegradedBounded { .. } => Verdict::DegradedBounded,
-            WatchdogStatus::GrowingUnbounded { .. } => Verdict::GrowingUnbounded,
-        }
-    }
-}
-
-/// The facts a scheme hands its policy at each trigger opportunity.
-///
-/// Schemes fill in the fields they track and zero the rest: hp/ebr/pebr
-/// report `retired`+`slots`, hp-plus reports `ops` (its unlink counter),
-/// and `since_scan_ns` is only sampled when the installed policy says it
-/// [`wants_time`](ReclaimPolicy::wants_time) — keeping clock reads off the
-/// retire fast path for the policies that never look at them.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RetireStats {
-    /// Blocks retired to the calling thread and not yet reclaimed.
-    pub retired: usize,
-    /// Scheme-wide protection capacity: hazard slots for HP-family schemes,
-    /// live participants for epoch schemes.
-    pub slots: usize,
-    /// Monotonic per-thread operation count for cadence-based triggers
-    /// (HP++ unlink count); 0 when the scheme has no such counter.
-    pub ops: u64,
-    /// Nanoseconds since this thread's last completed scan (0 when the
-    /// policy does not want time).
-    pub since_scan_ns: u64,
-    /// Latest watchdog verdict reported to the domain.
-    pub verdict: Verdict,
-}
-
-/// A reclamation-trigger strategy.
-///
-/// Implementations must be cheap — `should_reclaim` runs on every
-/// retirement — and thread-safe: one policy instance is shared by every
-/// thread registered with a domain.
-pub trait ReclaimPolicy: Send + Sync {
-    /// Decides whether the calling thread should scan now.
-    fn should_reclaim(&self, stats: &RetireStats) -> Decision;
-
-    /// Feedback hook: the domain's watchdog produced a verdict.
-    fn on_verdict(&self, _verdict: Verdict) {}
-
-    /// Whether the policy reads [`RetireStats::since_scan_ns`] — schemes
-    /// skip the clock read when this is false.
-    fn wants_time(&self) -> bool {
-        false
-    }
-
-    /// Stable lower-case name for CSV columns and logs.
-    fn name(&self) -> &'static str;
-}
-
-/// Queries `policy` and records the decision in the global counters
-/// ([`counters::policy_scans_forced`] / [`counters::policy_scans_skipped`]),
-/// so benches and the fault matrix can assert policy behavior instead of
-/// inferring it from garbage peaks.
-#[inline]
-pub fn decide(policy: &dyn ReclaimPolicy, stats: &RetireStats) -> Decision {
-    let d = policy.should_reclaim(stats);
-    match d {
-        Decision::Reclaim => counters::incr_policy_scan_forced(),
-        Decision::Skip => counters::incr_policy_scan_skipped(),
-    }
-    d
-}
-
-/// Reclaim at every opportunity: the zero-garbage, maximum-overhead corner
-/// of the ablation (fig12's lower bound on batching benefit).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Eager;
-
-impl ReclaimPolicy for Eager {
-    fn should_reclaim(&self, _stats: &RetireStats) -> Decision {
-        Decision::Reclaim
-    }
-
-    fn name(&self) -> &'static str {
-        "eager"
-    }
-}
-
-/// The legacy trigger formulas, bit-for-bit, as one parameterization.
+/// One scheme's scan trigger.
 ///
 /// Fires when **either** enabled branch says so:
 ///
 /// * count branch (enabled when `floor > 0 || k > 0`):
-///   `retired ≥ max(floor, k·slots)` — hp (`floor=128, k=HP_RECLAIM_K`),
-///   ebr (`floor=EBR_COLLECT_THRESHOLD, k=8` over participants), pebr
-///   (`floor=128, k=0`);
+///   `retired ≥ max(floor, k·slots)`;
 /// * cadence branch (enabled when `period > 0`):
-///   `ops > 0 && ops % period == 0` — hp-plus's unlink-count reclaim
-///   cadence (`period=HPP_RECLAIM_PERIOD`).
+///   `ops > 0 && ops % period == 0`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Capped {
     /// Minimum retired count before the count branch can fire.
     pub floor: usize,
-    /// Hazard-slot multiplier of the count branch.
+    /// Slot multiplier of the count branch.
     pub k: usize,
     /// Operation cadence of the cadence branch (0 disables it).
     pub period: u64,
@@ -200,438 +37,44 @@ pub struct Capped {
 
 impl Capped {
     /// Count-branch trigger threshold at `slots` protection slots.
+    #[inline]
     pub fn threshold(&self, slots: usize) -> usize {
         self.floor.max(self.k.saturating_mul(slots))
     }
 
-    /// The derived worst-case cap `k·slots + floor` (the Table-1 bound the
-    /// adaptive policy must respect when relaxing).
+    /// The derived worst-case cap `k·slots + floor` that the Table-1
+    /// robustness tests check garbage against.
     pub fn bound(&self, slots: usize) -> usize {
         self.k.saturating_mul(slots).saturating_add(self.floor)
     }
 
-    fn count_armed(&self) -> bool {
-        self.floor > 0 || self.k > 0
-    }
-
-    fn fires(&self, stats: &RetireStats, threshold: usize, period: u64) -> bool {
-        let by_count = self.count_armed() && stats.retired >= threshold;
-        let by_cadence = period > 0 && stats.ops > 0 && stats.ops.is_multiple_of(period);
+    /// Whether a thread holding `retired` unreclaimed blocks, in a domain
+    /// with `slots` protection slots, at its `ops`-th cadence operation,
+    /// should scan now. Schemes without a cadence counter pass `ops = 0`.
+    #[inline]
+    pub fn fires(&self, retired: usize, slots: usize, ops: u64) -> bool {
+        let by_count = (self.floor > 0 || self.k > 0) && retired >= self.threshold(slots);
+        let by_cadence = self.period > 0 && ops > 0 && ops.is_multiple_of(self.period);
         by_count || by_cadence
     }
 }
 
-impl ReclaimPolicy for Capped {
-    fn should_reclaim(&self, stats: &RetireStats) -> Decision {
-        if self.fires(stats, self.threshold(stats.slots), self.period) {
-            Decision::Reclaim
-        } else {
-            Decision::Skip
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "capped"
-    }
-}
-
-/// [`Capped`] plus a sync timeout: a scan also fires when anything has been
-/// sitting retired longer than `timeout_ns` (atom_box's `TimeCapped`
-/// strategy). Buys latency-bounded reclamation for bursty workloads that
-/// never reach the count threshold between idle stretches.
-#[derive(Clone, Copy, Debug)]
-pub struct TimedCapped {
-    /// The count/cadence trigger that still applies.
-    pub capped: Capped,
-    /// Maximum age of unscanned garbage before a scan is forced.
-    pub timeout_ns: u64,
-}
-
-impl ReclaimPolicy for TimedCapped {
-    fn should_reclaim(&self, stats: &RetireStats) -> Decision {
-        let timed_out = stats.retired > 0 && stats.since_scan_ns >= self.timeout_ns;
-        if timed_out || self.capped.fires(stats, self.capped.threshold(stats.slots), self.capped.period) {
-            Decision::Reclaim
-        } else {
-            Decision::Skip
-        }
-    }
-
-    fn wants_time(&self) -> bool {
-        true
-    }
-
-    fn name(&self) -> &'static str {
-        "timed"
-    }
-}
-
-/// How far [`Adaptive`] may tighten below the base threshold (2³ = 8×).
-const ADAPTIVE_LEVEL_MIN: i8 = -3;
-/// How far [`Adaptive`] may relax above it — the clamp to the derived cap
-/// makes higher levels indistinguishable anyway.
-const ADAPTIVE_LEVEL_MAX: i8 = 2;
-/// Tightening never pushes a count threshold below this (a scan per retire
-/// costs more than it frees) …
-const ADAPTIVE_MIN_THRESHOLD: usize = 16;
-/// … nor a cadence period below this.
-const ADAPTIVE_MIN_PERIOD: u64 = 8;
-
-/// [`Capped`] whose effective threshold breathes with the watchdog verdict.
+/// The reclamation trigger a KV shard is built with.
 ///
-/// A signed level shifts the base threshold geometrically:
-/// `eff = clamp(base · 2^level, floor-side minimum, k·slots + floor)`.
-/// [`Adaptive::on_verdict`] snaps the level to [`ADAPTIVE_LEVEL_MIN`] on
-/// any pressure verdict (tighten within one watchdog sample); each scan
-/// that fires while the verdict is `Healthy`/`Unknown` raises the level by
-/// one ([`counters::adaptive_relaxes`]). The upper clamp is the same
-/// `k·H + floor` expression the robustness tests derive from Table 1, so
-/// relaxation can never grow past the scheme's published bound.
-#[derive(Debug)]
-pub struct Adaptive {
-    /// Base (legacy) trigger this policy breathes around.
-    pub base: Capped,
-    level: AtomicI8,
-}
-
-impl Adaptive {
-    /// Starts at the base threshold (level 0).
-    pub fn new(base: Capped) -> Self {
-        Self {
-            base,
-            level: AtomicI8::new(0),
-        }
-    }
-
-    /// Current adaptation level (tests only; negative = tightened).
-    pub fn level(&self) -> i8 {
-        self.level.load(Ordering::Relaxed)
-    }
-
-    /// Effective count threshold at `slots`, after applying the level and
-    /// clamping into `[min(base, 16).max(1), k·slots + floor]`.
-    pub fn effective_threshold(&self, slots: usize) -> usize {
-        let base = self.base.threshold(slots);
-        let lvl = self.level.load(Ordering::Relaxed);
-        let shifted = if lvl >= 0 {
-            base.saturating_shl(lvl as u32)
-        } else {
-            base >> (-lvl) as u32
-        };
-        let lo = base.clamp(1, ADAPTIVE_MIN_THRESHOLD);
-        let hi = self.base.bound(slots).max(lo);
-        shifted.clamp(lo, hi)
-    }
-
-    /// Effective cadence period after the level: tightening shortens the
-    /// period (more frequent scans), relaxing never stretches it past the
-    /// base — cadence *is* the base amortization, there is nothing to relax.
-    pub fn effective_period(&self) -> u64 {
-        if self.base.period == 0 {
-            return 0;
-        }
-        let lvl = self.level.load(Ordering::Relaxed);
-        if lvl >= 0 {
-            self.base.period
-        } else {
-            (self.base.period >> (-lvl) as u32)
-                .max(ADAPTIVE_MIN_PERIOD)
-                .min(self.base.period)
-        }
-    }
-}
-
-/// `usize::checked_shl` that saturates instead of wrapping (tiny helper:
-/// levels are ≤ 2, but a pathological base could still overflow).
-trait SaturatingShl {
-    fn saturating_shl(self, by: u32) -> Self;
-}
-
-impl SaturatingShl for usize {
-    fn saturating_shl(self, by: u32) -> usize {
-        self.checked_shl(by).unwrap_or(usize::MAX)
-    }
-}
-
-impl ReclaimPolicy for Adaptive {
-    fn should_reclaim(&self, stats: &RetireStats) -> Decision {
-        let eff = self.effective_threshold(stats.slots);
-        let period = self.effective_period();
-        if self.base.fires(stats, eff, period) {
-            // This scan completed under a healthy verdict: amortize harder
-            // next time. CAS (not fetch_add) so concurrent triggers on the
-            // same domain step the level at most once per scan wave.
-            if !stats.verdict.is_pressure() {
-                let lvl = self.level.load(Ordering::Relaxed);
-                if lvl < ADAPTIVE_LEVEL_MAX
-                    && self
-                        .level
-                        .compare_exchange(lvl, lvl + 1, Ordering::Relaxed, Ordering::Relaxed)
-                        .is_ok()
-                {
-                    counters::incr_adaptive_relax();
-                }
-            }
-            Decision::Reclaim
-        } else {
-            Decision::Skip
-        }
-    }
-
-    fn on_verdict(&self, verdict: Verdict) {
-        if verdict.is_pressure() {
-            let prev = self.level.swap(ADAPTIVE_LEVEL_MIN, Ordering::Relaxed);
-            if prev != ADAPTIVE_LEVEL_MIN {
-                counters::incr_adaptive_tighten();
-            }
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "adaptive"
-    }
-}
-
-/// Which [`ReclaimPolicy`] implementation to build — the value of
-/// `SMR_POLICY`/`KV_POLICY`, a `KvConfig` field, and a bench CSV column.
+/// Only [`PolicyKind::Capped`] exists: every scheme decides a scan with
+/// its one inline [`Capped`] trigger. The type stays because
+/// `kv_service::ShardStore::new_shard`, `kv_service::KvConfig::policy` and
+/// the repository benchmark (`perfbench/`) name it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum PolicyKind {
-    /// [`Eager`].
-    Eager,
-    /// [`Capped`] — the default; legacy parameters make it bit-identical
-    /// to the pre-policy triggers.
+    /// The scheme's own [`Capped`] trigger.
     #[default]
     Capped,
-    /// [`TimedCapped`].
-    TimedCapped,
-    /// [`Adaptive`].
-    Adaptive,
-}
-
-impl PolicyKind {
-    /// Every kind, in fig12 column order.
-    pub const ALL: [PolicyKind; 4] = [
-        PolicyKind::Eager,
-        PolicyKind::Capped,
-        PolicyKind::TimedCapped,
-        PolicyKind::Adaptive,
-    ];
-
-    /// The lower-case name used in env vars, CSV columns, and snapshot
-    /// metric keys.
-    pub fn name(self) -> &'static str {
-        match self {
-            PolicyKind::Eager => "eager",
-            PolicyKind::Capped => "capped",
-            PolicyKind::TimedCapped => "timed",
-            PolicyKind::Adaptive => "adaptive",
-        }
-    }
-
-    /// Parses a policy name (the inverse of [`PolicyKind::name`], plus the
-    /// `timed-capped`/`timedcapped` spellings).
-    pub fn parse(raw: &str) -> Option<Self> {
-        match raw.trim().to_ascii_lowercase().as_str() {
-            "eager" => Some(PolicyKind::Eager),
-            "capped" => Some(PolicyKind::Capped),
-            "timed" | "timed-capped" | "timedcapped" => Some(PolicyKind::TimedCapped),
-            "adaptive" => Some(PolicyKind::Adaptive),
-            _ => None,
-        }
-    }
-
-    /// Reads a policy kind from env var `name`; a set-but-unrecognized
-    /// value is counted/logged via [`crate::env::note_malformed`] and
-    /// returns `None` (caller's default applies).
-    pub fn from_env_var(name: &str) -> Option<Self> {
-        let raw = std::env::var(name).ok()?;
-        match Self::parse(&raw) {
-            Some(kind) => Some(kind),
-            None => {
-                crate::env::note_malformed(name, &raw);
-                None
-            }
-        }
-    }
-}
-
-impl std::fmt::Display for PolicyKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for PolicyKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        Self::parse(s).ok_or_else(|| format!("unknown policy kind {s:?}"))
-    }
-}
-
-/// Default `SMR_POLICY_TIMEOUT_MS` for [`TimedCapped`].
-const DEFAULT_TIMEOUT_MS: u64 = 10;
-
-/// Process-wide policy selection, read once from the environment:
-///
-/// * `SMR_POLICY` — `eager` | `capped` | `timed` | `adaptive` (default
-///   `capped`);
-/// * `SMR_POLICY_THRESHOLD` — overrides the scheme's legacy floor (or its
-///   cadence period, for cadence-only schemes like hp-plus);
-/// * `SMR_POLICY_K` — overrides the scheme's legacy slot multiplier;
-/// * `SMR_POLICY_TIMEOUT_MS` — [`TimedCapped`] sync timeout (default 10).
-///
-/// The per-scheme legacy env vars (`HP_RECLAIM_K`,
-/// `EBR_COLLECT_THRESHOLD`, `HPP_RECLAIM_PERIOD`) keep working: they feed
-/// the `legacy` [`Capped`] each scheme passes to [`PolicyConfig::build`],
-/// which these overrides then refine.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PolicyConfig {
-    /// Which implementation to build.
-    pub kind: PolicyKind,
-    /// `SMR_POLICY_THRESHOLD` override (floor, or period for cadence-only
-    /// schemes).
-    pub threshold: Option<usize>,
-    /// `SMR_POLICY_K` override.
-    pub k: Option<usize>,
-    /// `SMR_POLICY_TIMEOUT_MS` (always present; defaulted).
-    pub timeout_ms: u64,
-}
-
-impl Default for PolicyConfig {
-    fn default() -> Self {
-        Self {
-            kind: PolicyKind::default(),
-            threshold: None,
-            k: None,
-            timeout_ms: DEFAULT_TIMEOUT_MS,
-        }
-    }
-}
-
-impl PolicyConfig {
-    /// The process-wide config, parsed from the environment once (so a
-    /// malformed value warns once, not once per domain).
-    pub fn from_env() -> Self {
-        static CONFIG: OnceLock<PolicyConfig> = OnceLock::new();
-        *CONFIG.get_or_init(|| Self {
-            kind: PolicyKind::from_env_var("SMR_POLICY").unwrap_or_default(),
-            threshold: crate::env::parse_usize("SMR_POLICY_THRESHOLD"),
-            k: crate::env::parse_usize("SMR_POLICY_K"),
-            timeout_ms: crate::env::parse_u64("SMR_POLICY_TIMEOUT_MS")
-                .unwrap_or(DEFAULT_TIMEOUT_MS),
-        })
-    }
-
-    /// A config selecting `kind` with no parameter overrides — how
-    /// kv-service builds per-shard policies from `KV_POLICY` without going
-    /// through the process-wide `SMR_POLICY` latch.
-    pub fn for_kind(kind: PolicyKind) -> Self {
-        Self {
-            kind,
-            ..Self::default()
-        }
-    }
-
-    /// Builds the policy, refining the scheme's `legacy` trigger with this
-    /// config's overrides. `legacy` carries the scheme's pre-policy
-    /// formula (including its old env-var knobs), so an empty environment
-    /// builds a [`Capped`] that decides bit-identically to the old code.
-    pub fn build(&self, legacy: Capped) -> Arc<dyn ReclaimPolicy> {
-        let mut base = legacy;
-        if base.period > 0 && !base.count_armed() {
-            // Cadence-only scheme: the threshold override retunes the
-            // cadence.
-            if let Some(t) = self.threshold {
-                base.period = (t as u64).max(1);
-            }
-        } else {
-            if let Some(t) = self.threshold {
-                base.floor = t;
-            }
-            if let Some(k) = self.k {
-                base.k = k;
-            }
-        }
-        match self.kind {
-            PolicyKind::Eager => Arc::new(Eager),
-            PolicyKind::Capped => Arc::new(base),
-            PolicyKind::TimedCapped => Arc::new(TimedCapped {
-                capped: base,
-                timeout_ns: self.timeout_ms.saturating_mul(1_000_000),
-            }),
-            PolicyKind::Adaptive => Arc::new(Adaptive::new(base)),
-        }
-    }
-}
-
-/// A domain's installed policy + latest watchdog verdict.
-///
-/// `const`-constructible so the static domains (`hp::default_domain`,
-/// `ebr::default_collector`) embed one. The slot is install-once
-/// (`OnceLock`): the first of `install` / first-trigger-lazy-default wins,
-/// matching the "configure before first use" contract of every other knob
-/// in the workspace.
-pub struct PolicySlot {
-    cell: OnceLock<Arc<dyn ReclaimPolicy>>,
-    verdict: AtomicU8,
-}
-
-impl PolicySlot {
-    /// An empty slot (policy defaults on first use).
-    pub const fn new() -> Self {
-        Self {
-            cell: OnceLock::new(),
-            verdict: AtomicU8::new(0),
-        }
-    }
-
-    /// Installs `policy`; returns false (and changes nothing) if a policy
-    /// is already installed or defaulted.
-    pub fn install(&self, policy: Arc<dyn ReclaimPolicy>) -> bool {
-        self.cell.set(policy).is_ok()
-    }
-
-    /// The installed policy, defaulting via `default` on first use.
-    pub fn get_or_init(
-        &self,
-        default: impl FnOnce() -> Arc<dyn ReclaimPolicy>,
-    ) -> &dyn ReclaimPolicy {
-        self.cell.get_or_init(default).as_ref()
-    }
-
-    /// The latest verdict reported to this slot.
-    pub fn verdict(&self) -> Verdict {
-        Verdict::decode(self.verdict.load(Ordering::Relaxed))
-    }
-
-    /// Stores a watchdog verdict and forwards it to the policy's feedback
-    /// hook (if one is installed yet).
-    pub fn report_verdict(&self, verdict: Verdict) {
-        self.verdict.store(verdict.encode(), Ordering::Relaxed);
-        if let Some(policy) = self.cell.get() {
-            policy.on_verdict(verdict);
-        }
-    }
-}
-
-impl Default for PolicySlot {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn stats(retired: usize, slots: usize) -> RetireStats {
-        RetireStats {
-            retired,
-            slots,
-            ..Default::default()
-        }
-    }
 
     /// The same xorshift the fault plans use — deterministic, no deps.
     struct XorShift(u64);
@@ -644,12 +87,6 @@ mod tests {
             self.0 = x;
             x
         }
-    }
-
-    #[test]
-    fn eager_always_fires() {
-        assert_eq!(Eager.should_reclaim(&stats(0, 0)), Decision::Reclaim);
-        assert_eq!(Eager.should_reclaim(&stats(1, 999)), Decision::Reclaim);
     }
 
     #[test]
@@ -666,7 +103,7 @@ mod tests {
                 let retired = (rng.next() % 4096) as usize;
                 let slots = (rng.next() % 512) as usize;
                 let legacy = retired >= 128usize.max(k * slots);
-                let got = policy.should_reclaim(&stats(retired, slots)) == Decision::Reclaim;
+                let got = policy.fires(retired, slots, 0);
                 assert_eq!(got, legacy, "hp mismatch at retired={retired} slots={slots} k={k}");
             }
         }
@@ -686,7 +123,7 @@ mod tests {
                 let bags = (rng.next() % 4096) as usize;
                 let live = (rng.next() % 64) as usize;
                 let legacy = bags >= floor.max(8 * live);
-                let got = policy.should_reclaim(&stats(bags, live)) == Decision::Reclaim;
+                let got = policy.fires(bags, live, 0);
                 assert_eq!(got, legacy, "ebr mismatch at bags={bags} live={live} floor={floor}");
             }
         }
@@ -706,12 +143,9 @@ mod tests {
             for _ in 0..4096 {
                 let ops = 1 + rng.next() % 1024;
                 let legacy = ops.is_multiple_of(period);
-                let s = RetireStats {
-                    ops,
-                    retired: (rng.next() % 64) as usize, // must be ignored: count branch unarmed
-                    ..Default::default()
-                };
-                let got = policy.should_reclaim(&s) == Decision::Reclaim;
+                // Must be ignored: the count branch is unarmed.
+                let retired = (rng.next() % 64) as usize;
+                let got = policy.fires(retired, 0, ops);
                 assert_eq!(got, legacy, "hpp mismatch at ops={ops} period={period}");
             }
         }
@@ -727,220 +161,29 @@ mod tests {
         };
         for retired in 0..512 {
             let legacy = retired >= 128;
-            let got = policy.should_reclaim(&stats(retired, 7)) == Decision::Reclaim;
+            let got = policy.fires(retired, 7, 0);
             assert_eq!(got, legacy, "pebr mismatch at retired={retired}");
         }
     }
 
     #[test]
-    fn timed_capped_fires_on_age_or_count() {
-        let policy = TimedCapped {
-            capped: Capped {
-                floor: 100,
-                k: 0,
+    fn capped_reproduces_legacy_hyaline_trigger_exactly() {
+        // hyaline's handover predicate:
+        // batch_len >= max(HYALINE_BATCH_THRESHOLD, 8 * live handles).
+        let mut rng = XorShift(0x853c49e6748fea9b);
+        for floor in [1usize, 16, 128, 1000] {
+            let policy = Capped {
+                floor,
+                k: 8,
                 period: 0,
-            },
-            timeout_ns: 1_000_000,
-        };
-        assert!(policy.wants_time());
-        // Below threshold, young: skip.
-        let mut s = stats(10, 0);
-        assert_eq!(policy.should_reclaim(&s), Decision::Skip);
-        // Below threshold but stale: reclaim.
-        s.since_scan_ns = 2_000_000;
-        assert_eq!(policy.should_reclaim(&s), Decision::Reclaim);
-        // Stale but nothing retired: nothing to sync, skip.
-        let mut empty = stats(0, 0);
-        empty.since_scan_ns = u64::MAX;
-        assert_eq!(policy.should_reclaim(&empty), Decision::Skip);
-        // Over threshold regardless of age: reclaim.
-        assert_eq!(policy.should_reclaim(&stats(200, 0)), Decision::Reclaim);
-    }
-
-    #[test]
-    fn adaptive_tightens_on_pressure_and_relaxes_when_healthy() {
-        let _serial = crate::counters::test_lock();
-        let base = Capped {
-            floor: 128,
-            k: 2,
-            period: 0,
-        };
-        let policy = Adaptive::new(base);
-        let slots = 32;
-        assert_eq!(policy.effective_threshold(slots), 128, "level 0 = legacy");
-
-        let tight0 = counters::adaptive_tightens();
-        policy.on_verdict(Verdict::GrowingUnbounded);
-        assert_eq!(policy.level(), ADAPTIVE_LEVEL_MIN);
-        assert_eq!(counters::adaptive_tightens() - tight0, 1);
-        // Tightening again is idempotent — no double count.
-        policy.on_verdict(Verdict::DegradedBounded);
-        assert_eq!(counters::adaptive_tightens() - tight0, 1);
-        let tightened = policy.effective_threshold(slots);
-        assert_eq!(tightened, ADAPTIVE_MIN_THRESHOLD, "128 >> 3 = 16");
-
-        // Healthy scans step the level back up, one per firing trigger.
-        let relax0 = counters::adaptive_relaxes();
-        let mut s = stats(tightened, slots);
-        s.verdict = Verdict::Healthy;
-        assert_eq!(policy.should_reclaim(&s), Decision::Reclaim);
-        assert_eq!(policy.level(), ADAPTIVE_LEVEL_MIN + 1);
-        assert_eq!(counters::adaptive_relaxes() - relax0, 1);
-
-        // Under pressure a firing trigger does NOT relax.
-        policy.on_verdict(Verdict::GrowingUnbounded);
-        let mut storm = stats(4096, slots);
-        storm.verdict = Verdict::GrowingUnbounded;
-        assert_eq!(policy.should_reclaim(&storm), Decision::Reclaim);
-        assert_eq!(policy.level(), ADAPTIVE_LEVEL_MIN);
-    }
-
-    #[test]
-    fn adaptive_threshold_never_exceeds_derived_bound() {
-        // Serialized: relaxation bumps the global adaptive counters that
-        // the exact-delta tests read.
-        let _serial = crate::counters::test_lock();
-        let base = Capped {
-            floor: 128,
-            k: 2,
-            period: 0,
-        };
-        let policy = Adaptive::new(base);
-        for slots in [0usize, 1, 8, 33, 512] {
-            // Walk the level across its whole range via verdicts + scans.
-            policy.on_verdict(Verdict::GrowingUnbounded);
-            for _ in 0..16 {
-                let eff = policy.effective_threshold(slots);
-                assert!(
-                    eff <= base.bound(slots).max(ADAPTIVE_MIN_THRESHOLD),
-                    "eff {eff} over bound {} at slots={slots}",
-                    base.bound(slots)
-                );
-                assert!(eff >= 1);
-                let mut s = stats(eff, slots);
-                s.verdict = Verdict::Healthy;
-                policy.should_reclaim(&s); // fires, relaxes one step
-            }
-            assert_eq!(
-                policy.effective_threshold(slots),
-                base.bound(slots).max(ADAPTIVE_MIN_THRESHOLD.min(base.threshold(slots))),
-                "fully relaxed = clamped at the derived bound (slots={slots})"
-            );
-        }
-    }
-
-    #[test]
-    fn adaptive_period_only_tightens() {
-        let _serial = crate::counters::test_lock();
-        let policy = Adaptive::new(Capped {
-            floor: 0,
-            k: 0,
-            period: 128,
-        });
-        assert_eq!(policy.effective_period(), 128);
-        policy.on_verdict(Verdict::DegradedBounded);
-        assert_eq!(policy.effective_period(), ADAPTIVE_MIN_PERIOD.max(128 >> 3));
-        // Relax all the way back: never past the base period.
-        for _ in 0..8 {
-            let s = RetireStats {
-                ops: policy.effective_period(),
-                verdict: Verdict::Healthy,
-                ..Default::default()
             };
-            policy.should_reclaim(&s);
+            for _ in 0..4096 {
+                let batch = (rng.next() % 2048) as usize;
+                let live = (rng.next() % 256) as usize;
+                let legacy = batch >= floor.max(8 * live);
+                let got = policy.fires(batch, live, 0);
+                assert_eq!(got, legacy, "hyaline mismatch at batch={batch} live={live} floor={floor}");
+            }
         }
-        assert_eq!(policy.effective_period(), 128);
-    }
-
-    #[test]
-    fn kind_names_roundtrip() {
-        for kind in PolicyKind::ALL {
-            assert_eq!(PolicyKind::parse(kind.name()), Some(kind));
-            assert_eq!(kind.name().parse::<PolicyKind>(), Ok(kind));
-        }
-        assert_eq!(PolicyKind::parse("timed-capped"), Some(PolicyKind::TimedCapped));
-        assert_eq!(PolicyKind::parse("ADAPTIVE"), Some(PolicyKind::Adaptive));
-        assert_eq!(PolicyKind::parse("nope"), None);
-    }
-
-    #[test]
-    fn config_build_maps_overrides_onto_legacy() {
-        let legacy = Capped {
-            floor: 128,
-            k: 2,
-            period: 0,
-        };
-        // No overrides → the legacy trigger itself.
-        let p = PolicyConfig::default().build(legacy);
-        assert_eq!(p.name(), "capped");
-        assert_eq!(p.should_reclaim(&stats(127, 0)), Decision::Skip);
-        assert_eq!(p.should_reclaim(&stats(128, 0)), Decision::Reclaim);
-
-        // Threshold/k overrides refine the count branch.
-        let cfg = PolicyConfig {
-            threshold: Some(10),
-            k: Some(0),
-            ..Default::default()
-        };
-        let p = cfg.build(legacy);
-        assert_eq!(p.should_reclaim(&stats(10, 999)), Decision::Reclaim);
-        assert_eq!(p.should_reclaim(&stats(9, 999)), Decision::Skip);
-
-        // Cadence-only legacy: threshold override retunes the period.
-        let hpp = Capped {
-            floor: 0,
-            k: 0,
-            period: 128,
-        };
-        let cfg = PolicyConfig {
-            threshold: Some(4),
-            ..Default::default()
-        };
-        let p = cfg.build(hpp);
-        let fire = RetireStats {
-            ops: 8,
-            ..Default::default()
-        };
-        assert_eq!(p.should_reclaim(&fire), Decision::Reclaim);
-
-        // Kind selection.
-        assert_eq!(PolicyConfig::for_kind(PolicyKind::Eager).build(legacy).name(), "eager");
-        assert_eq!(PolicyConfig::for_kind(PolicyKind::TimedCapped).build(legacy).name(), "timed");
-        assert_eq!(PolicyConfig::for_kind(PolicyKind::Adaptive).build(legacy).name(), "adaptive");
-    }
-
-    #[test]
-    fn slot_installs_once_and_forwards_verdicts() {
-        let _serial = crate::counters::test_lock();
-        let slot = PolicySlot::new();
-        assert_eq!(slot.verdict(), Verdict::Unknown);
-        let adaptive = Arc::new(Adaptive::new(Capped {
-            floor: 128,
-            k: 2,
-            period: 0,
-        }));
-        assert!(slot.install(adaptive.clone()));
-        assert!(!slot.install(Arc::new(Eager)), "second install rejected");
-        assert_eq!(slot.get_or_init(|| Arc::new(Eager)).name(), "adaptive");
-        slot.report_verdict(Verdict::GrowingUnbounded);
-        assert_eq!(slot.verdict(), Verdict::GrowingUnbounded);
-        assert_eq!(adaptive.level(), ADAPTIVE_LEVEL_MIN, "verdict reached the policy");
-    }
-
-    #[test]
-    fn decide_counts_both_outcomes_exactly() {
-        let _serial = crate::counters::test_lock();
-        let forced0 = counters::policy_scans_forced();
-        let skipped0 = counters::policy_scans_skipped();
-        let policy = Capped {
-            floor: 4,
-            k: 0,
-            period: 0,
-        };
-        assert_eq!(decide(&policy, &stats(4, 0)), Decision::Reclaim);
-        assert_eq!(decide(&policy, &stats(0, 0)), Decision::Skip);
-        assert_eq!(decide(&policy, &stats(1, 0)), Decision::Skip);
-        assert_eq!(counters::policy_scans_forced() - forced0, 1);
-        assert_eq!(counters::policy_scans_skipped() - skipped0, 2);
     }
 }

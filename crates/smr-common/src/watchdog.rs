@@ -33,6 +33,59 @@ pub enum WatchdogStatus {
     },
 }
 
+/// A payload-free mirror of [`WatchdogStatus`], cheap enough to store in an
+/// atomic (the kv-service per-shard health word).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+pub enum Verdict {
+    /// No watchdog has reported yet.
+    #[default]
+    Unknown,
+    /// Garbage within bound, collector making progress.
+    Healthy,
+    /// Stalled but within the derived bound.
+    DegradedBounded,
+    /// Stalled and past the bound — the Table-1 failure mode.
+    GrowingUnbounded,
+}
+
+impl Verdict {
+    /// Encodes the verdict for storage in an atomic.
+    pub fn encode(self) -> u8 {
+        match self {
+            Verdict::Unknown => 0,
+            Verdict::Healthy => 1,
+            Verdict::DegradedBounded => 2,
+            Verdict::GrowingUnbounded => 3,
+        }
+    }
+
+    /// Inverse of [`encode`](Self::encode); unknown raw values decode to
+    /// [`Verdict::Unknown`].
+    pub fn decode(raw: u8) -> Self {
+        match raw {
+            1 => Verdict::Healthy,
+            2 => Verdict::DegradedBounded,
+            3 => Verdict::GrowingUnbounded,
+            _ => Verdict::Unknown,
+        }
+    }
+
+    /// Whether this verdict signals memory pressure rather than health.
+    pub fn is_pressure(self) -> bool {
+        matches!(self, Verdict::DegradedBounded | Verdict::GrowingUnbounded)
+    }
+}
+
+impl From<&WatchdogStatus> for Verdict {
+    fn from(status: &WatchdogStatus) -> Self {
+        match status {
+            WatchdogStatus::Healthy => Verdict::Healthy,
+            WatchdogStatus::DegradedBounded { .. } => Verdict::DegradedBounded,
+            WatchdogStatus::GrowingUnbounded { .. } => Verdict::GrowingUnbounded,
+        }
+    }
+}
+
 /// Classifies sampled (progress token, garbage count) pairs; see the
 /// module docs for what to feed it per scheme.
 pub struct GarbageWatchdog {

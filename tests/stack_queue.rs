@@ -1,11 +1,22 @@
 //! Cross-crate tests for the §4.2 applicability structures: Treiber stacks
 //! (HP and HP++ flavors) and the Michael–Scott queue (guard-based flavors).
+//!
+//! Every test here moves the process-global garbage ledger
+//! (`smr_common::counters::garbage_now()`), and `stacks_reclaim_promptly`
+//! asserts on a delta of it, so all three run under one file-local lock.
 
 use std::collections::HashSet;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
+
+/// Serializes the tests in this binary (see the module docs).
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 #[test]
 fn hp_and_hpp_stacks_agree_under_interleaving() {
+    let _serial = serial();
     let hp_stack = ds::hp::TreiberStack::new();
     let hpp_stack = ds::hpp::TreiberStack::new();
     let mut hh = hp_stack.handle();
@@ -28,6 +39,7 @@ fn hp_and_hpp_stacks_agree_under_interleaving() {
 
 #[test]
 fn msqueue_across_schemes_preserves_fifo_per_producer() {
+    let _serial = serial();
     fn run<S: smr_common::GuardedScheme>() {
         let q: ds::guarded::MSQueue<u64, S> = ds::guarded::MSQueue::new();
         let seen = Mutex::new(HashSet::new());
@@ -73,6 +85,7 @@ fn msqueue_across_schemes_preserves_fifo_per_producer() {
 
 #[test]
 fn stacks_reclaim_promptly() {
+    let _serial = serial();
     let s = ds::hpp::TreiberStack::new();
     let mut h = s.handle();
     let before = smr_common::counters::garbage_now();
